@@ -10,7 +10,7 @@ from .balance import (
     smote,
 )
 from .bench import ExperimentConfig, RunManifest, parse_config, run, seed_for
-from .cfeval import Cell, CellSummary, QualityRecord, aggregate, count_by_cell, score
+from .cfeval import Cell, CellSummary, QualityRecord, aggregate, score
 from .cfgen import (
     CfRequest,
     Counterfactual,
@@ -32,7 +32,7 @@ from .dataset import (
     load_csv,
     stratified_split,
 )
-from .distance import RangeTable, gower, heom, k_nearest
+from .distance import RangeTable, gower, k_nearest
 from .forest import (
     CvSpec,
     EvalMetrics,
@@ -51,13 +51,13 @@ __all__ = [
     "FAIL", "PASS",
     "FeatureSpec", "LabeledDataset", "SplitResult",
     "load_csv", "ingest_oulad", "stratified_split", "imbalance_ratio",
-    "RangeTable", "gower", "heom", "k_nearest",
+    "RangeTable", "gower", "k_nearest",
     "ClassWeights", "random_undersample", "random_oversample", "smote", "cost_weights",
     "Hyperparams", "CvSpec", "EvalMetrics", "RandomForestModel",
     "fit_forest", "evaluate", "tune", "save_model", "load_model",
     "CfRequest", "Counterfactual", "MocConfig", "MocObjectives",
     "objectives", "whatif", "nice", "moc",
-    "Cell", "QualityRecord", "CellSummary", "score", "aggregate", "count_by_cell",
+    "Cell", "QualityRecord", "CellSummary", "score", "aggregate",
     "ExperimentConfig", "RunManifest", "parse_config", "run", "seed_for",
     "__version__",
 ]

@@ -11,6 +11,13 @@ model predicts as failing, in row order, capped at the configured instance
 budget. All randomness derives from the master seed through `seed_for`, so any
 cell is independently reproducible and two identical runs emit byte-identical
 CSV outputs.
+
+`Pipeline` holds the two steps of the grid. Its block step loads or fits one
+(balancing, tuning) forest and writes ``models/``; its cell step resumes or
+generates one (balancing, tuning, method) cell and writes ``cells/``. `run`
+drives both over the grid; the CLI's ``train`` and ``explain`` use the same
+block step, so they reuse a finished run's forest under the same config hash.
+Every artifact reaches disk through `_atomic_write`.
 """
 
 from __future__ import annotations
@@ -29,7 +36,8 @@ import numpy as np
 
 from . import balance, cfgen, cfeval, forest
 from .cfeval import Cell
-from .dataset import FRAME_COLUMNS, ID_COLUMN, LabeledDataset, ingest_oulad, load_csv, stratified_split
+from .dataset import (FRAME_COLUMNS, ID_COLUMN, LabeledDataset, SplitResult, ingest_oulad,
+                      load_csv, stratified_split)
 from .distance import RangeTable
 
 logger = logging.getLogger(__name__)
@@ -151,18 +159,6 @@ class ExperimentConfig:
         return hashlib.sha256(self.canonical().encode()).hexdigest()[:16]
 
 
-_SCHEMA = {
-    "data": ("oulad_dir", "frame_csv", "course", "presentations"),
-    "split": ("test_fraction",),
-    "run": ("master_seed", "output_dir", "balancing", "tuning", "methods",
-            "max_explained_instances"),
-    "forest": ("n_trees",),
-    "tune": ("folds", "repeats", "objective", "mtry", "splitrule", "min_node_size"),
-    "whatif": ("k",),
-    "smote": ("k",),
-    "moc": ("population", "generations", "crossover_rate", "mutation_rate"),
-}
-
 _KEY_TO_FIELD = {
     ("data", "oulad_dir"): ("oulad_dir", Path),
     ("data", "frame_csv"): ("frame_csv", Path),
@@ -199,12 +195,13 @@ def parse_config(path) -> ExperimentConfig:
     parser = configparser.ConfigParser(interpolation=None)
     with path.open() as fh:
         parser.read_file(fh, source=str(path))
+    sections = {section for section, _ in _KEY_TO_FIELD}
     kwargs = {}
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in sections:
             raise ValueError(f"{path}: unknown section [{section}]")
         for key, raw in parser.items(section):
-            if key not in _SCHEMA[section]:
+            if (section, key) not in _KEY_TO_FIELD:
                 raise ValueError(f"{path}: unknown key {key!r} in section [{section}]")
             name, kind = _KEY_TO_FIELD[(section, key)]
             kwargs[name] = _convert(raw.strip(), kind, f"{path}: [{section}] {key}")
@@ -234,14 +231,9 @@ class RunManifest:
     outputs: dict = field(default_factory=dict)
 
     def save(self, path) -> None:
-        path = Path(path)
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(json.dumps(
-            {"config_hash": self.config_hash, "blocks": self.blocks,
-             "cells": self.cells, "outputs": self.outputs},
-            indent=2, sort_keys=True,
-        ))
-        os.replace(tmp, path)
+        payload = {"config_hash": self.config_hash, "blocks": self.blocks,
+                   "cells": self.cells, "outputs": self.outputs}
+        _atomic_write(Path(path), lambda p: _write_json(p, payload))
 
     @classmethod
     def load(cls, path) -> "RunManifest":
@@ -343,31 +335,124 @@ def fail_predicted_rows(model, test: LabeledDataset, cap: int | None) -> list[in
     return rows if cap is None else rows[:cap]
 
 
+@dataclass(frozen=True)
+class Pipeline:
+    """The block and cell steps of one run over one output directory.
+
+    ``previous`` is the manifest an earlier run left in ``out`` under the same
+    config hash (empty if none); a block or cell it marks ``done`` is resumed
+    from its files. ``bounds`` are the original training-split feature
+    ranges, shared by every cell so that distances stay comparable across
+    balancing strategies.
+    """
+
+    config: ExperimentConfig
+    out: Path
+    previous: RunManifest
+    split: SplitResult
+    bounds: np.ndarray
+
+    @classmethod
+    def open(cls, config: ExperimentConfig) -> "Pipeline":
+        """Read the resumable manifest of ``config.output_dir`` and make the run's one split."""
+        out = Path(config.output_dir)
+        manifest_path = out / "manifest.json"
+        previous = RunManifest(config_hash=config.config_hash())
+        if manifest_path.exists():
+            try:
+                candidate = RunManifest.load(manifest_path)
+                if candidate.config_hash == previous.config_hash:
+                    previous = candidate
+            except (ValueError, KeyError, json.JSONDecodeError):
+                logger.warning("ignoring unreadable manifest at %s", manifest_path)
+        data = load_data(config)
+        split = stratified_split(data, config.test_fraction,
+                                 seed_for(config.master_seed, GLOBAL_CELL, "split"))
+        bounds = np.array([[s.min_value, s.max_value] for s in split.train.specs])
+        return cls(config, out, previous, split, bounds)
+
+    def block(self, balancing: str, tuning: str, method_train: LabeledDataset,
+              weights: balance.ClassWeights):
+        """The block's forest, its meta (hyperparameters and test metrics) and
+        its manifest entry.
+
+        The forest is loaded when the previous manifest marks the block done
+        and both ``models/`` files exist. Otherwise it is fit (and tuned),
+        evaluated and saved with its meta; ``seconds`` cover exactly that.
+        """
+        model_path = self.out / "models" / f"{balancing}_{tuning}.forest"
+        meta_path = model_path.with_suffix(".json")
+        prev = self.previous.blocks.get(f"{balancing}:{tuning}", {})
+        if prev.get("status") == "done" and model_path.exists() and meta_path.exists():
+            model = forest.load_model(model_path)
+            meta = json.loads(meta_path.read_text())
+            return model, meta, {**prev, "status": "done", "resumed": True}
+        model_path.parent.mkdir(parents=True, exist_ok=True)
+        t0 = time.perf_counter()
+        model, hp = fit_block(self.config, method_train, weights, balancing, tuning)
+        metrics = forest.evaluate(model, self.split.test)
+        meta = {
+            "hyperparams": {"mtry": hp.mtry, "splitrule": hp.splitrule,
+                            "min_node_size": hp.min_node_size, "n_trees": hp.n_trees},
+            "metrics": {"accuracy": metrics.accuracy, "auc": metrics.auc, "f1": metrics.f1},
+        }
+        _atomic_write(model_path, lambda p: forest.save_model(model, p))
+        _atomic_write(meta_path, lambda p: _write_json(p, meta))
+        entry = {"status": "done", "seconds": round(time.perf_counter() - t0, 3),
+                 "model_file": str(model_path), **meta}
+        return model, meta, entry
+
+    def cell(self, cell: Cell, model, method_train: LabeledDataset, fail_rows):
+        """The cell's quality records (None if generation failed) and its
+        manifest entry.
+
+        A cell the previous manifest marks done, with its three ``cells/``
+        files, is read back. Otherwise it is generated and the three files are
+        written; ``seconds`` cover exactly that.
+        """
+        stem = "_".join(cell)
+        cell_file = self.out / "cells" / f"{stem}.csv"
+        cfs_file = self.out / "cells" / f"{stem}.cfs.csv"
+        meta_file = self.out / "cells" / f"{stem}.meta.jsonl"
+        prev = self.previous.cells.get(cell.key(), {})
+        if prev.get("status") == "done" and cell_file.exists() \
+                and cfs_file.exists() and meta_file.exists():
+            records = cfeval.read_quality_records(cell_file)
+            return records, {**prev, "status": "done", "resumed": True}
+        t0 = time.perf_counter()
+        try:
+            records, items = generate_for_cell(self.config, cell, model, method_train,
+                                               self.split.test, self.bounds, fail_rows)
+        except Exception as exc:  # noqa: BLE001 - a failing cell must not kill the run
+            logger.exception("cell %s failed", cell.key())
+            return None, {"status": "failed", "error": str(exc)}
+        _atomic_write(cell_file, lambda p: cfeval.write_quality_records(p, records))
+        names = self.split.test.feature_names
+        # the counterfactual CSV is renamed into place before its metadata stream
+        _atomic_write(meta_file, lambda meta_tmp: _atomic_write(
+            cfs_file, lambda cfs_tmp: cfgen.write_counterfactuals(cfs_tmp, meta_tmp, names, items)))
+        return records, {
+            "status": "done",
+            "requests": len(fail_rows),
+            "count": len(records),
+            "records_file": str(cell_file),
+            "counterfactuals_file": str(cfs_file),
+            "meta_file": str(meta_file),
+            "seconds": round(time.perf_counter() - t0, 3),
+        }
+
+
 def run(config: ExperimentConfig) -> RunManifest:
     """Execute the configured grid; see the module docstring for the contract.
 
-    One failing cell is recorded in the manifest and does not abort the rest.
-    Completed cells (manifest entry plus artifact file) are skipped on rerun.
+    One failing cell is recorded in the manifest and does not abort the rest;
+    a failing block fails each of its cells. Completed blocks and cells
+    (manifest entry plus artifact files) are resumed on rerun.
     """
-    out = Path(config.output_dir)
-    (out / "models").mkdir(parents=True, exist_ok=True)
-    (out / "cells").mkdir(parents=True, exist_ok=True)
-    manifest_path = out / "manifest.json"
-    cfg_hash = config.config_hash()
-    previous = None
-    if manifest_path.exists():
-        try:
-            candidate = RunManifest.load(manifest_path)
-            if candidate.config_hash == cfg_hash:
-                previous = candidate
-        except (ValueError, KeyError, json.JSONDecodeError):
-            logger.warning("ignoring unreadable manifest at %s", manifest_path)
-    manifest = RunManifest(config_hash=cfg_hash)
-
-    data = load_data(config)
-    split = stratified_split(data, config.test_fraction,
-                             seed_for(config.master_seed, GLOBAL_CELL, "split"))
-    bounds = np.array([[s.min_value, s.max_value] for s in split.train.specs])
+    pipe = Pipeline.open(config)
+    (pipe.out / "cells").mkdir(parents=True, exist_ok=True)
+    manifest_path = pipe.out / "manifest.json"
+    manifest = RunManifest(config_hash=config.config_hash())
 
     records_per_cell: dict[Cell, list[cfeval.QualityRecord]] = {}
     perf_rows = []
@@ -375,36 +460,14 @@ def run(config: ExperimentConfig) -> RunManifest:
         method_train = weights = None
         for tuning in config.tuning:
             block_key = f"{balancing}:{tuning}"
-            model_path = out / "models" / f"{balancing}_{tuning}.forest"
-            meta_path = out / "models" / f"{balancing}_{tuning}.json"
             try:
                 if method_train is None:
-                    method_train, weights = prepare_training(config, split.train, balancing)
-                prev_block = (previous.blocks.get(block_key) if previous else None) or {}
-                if prev_block.get("status") == "done" and model_path.exists() and meta_path.exists():
-                    model = forest.load_model(model_path)
-                    block_meta = json.loads(meta_path.read_text())
-                    manifest.blocks[block_key] = {**prev_block, "status": "done", "resumed": True}
-                else:
-                    t0 = time.perf_counter()
-                    model, hp = fit_block(config, method_train, weights, balancing, tuning)
-                    metrics = forest.evaluate(model, split.test)
-                    block_meta = {
-                        "hyperparams": {"mtry": hp.mtry, "splitrule": hp.splitrule,
-                                        "min_node_size": hp.min_node_size, "n_trees": hp.n_trees},
-                        "metrics": {"accuracy": metrics.accuracy, "auc": metrics.auc,
-                                    "f1": metrics.f1},
-                    }
-                    forest.save_model(model, model_path)
-                    _atomic_json(meta_path, block_meta)
-                    manifest.blocks[block_key] = {
-                        "status": "done",
-                        "seconds": round(time.perf_counter() - t0, 3),
-                        "model_file": str(model_path),
-                        **block_meta,
-                    }
-                perf_rows.append((balancing, tuning, block_meta["metrics"]))
-                fail_rows = fail_predicted_rows(model, split.test, config.max_explained_instances)
+                    method_train, weights = prepare_training(config, pipe.split.train, balancing)
+                model, meta, entry = pipe.block(balancing, tuning, method_train, weights)
+                manifest.blocks[block_key] = entry
+                perf_rows.append((balancing, tuning, meta["metrics"]))
+                fail_rows = fail_predicted_rows(model, pipe.split.test,
+                                                config.max_explained_instances)
                 block_error = None
             except Exception as exc:  # noqa: BLE001 - a failing block must not kill the run
                 logger.exception("block %s failed", block_key)
@@ -412,67 +475,31 @@ def run(config: ExperimentConfig) -> RunManifest:
                 block_error = exc
             for method in config.methods:
                 cell = Cell(balancing, tuning, method)
-                cell_key = cell.key()
-                stem = f"{balancing}_{tuning}_{method}"
-                cell_file = out / "cells" / f"{stem}.csv"
-                cfs_file = out / "cells" / f"{stem}.cfs.csv"
-                meta_file = out / "cells" / f"{stem}.meta.jsonl"
                 if block_error is not None:
-                    manifest.cells[cell_key] = {"status": "failed",
-                                                "error": f"block failed: {block_error}"}
-                    manifest.save(manifest_path)
-                    continue
-                prev_cell = (previous.cells.get(cell_key) if previous else None) or {}
-                if prev_cell.get("status") == "done" and cell_file.exists() \
-                        and cfs_file.exists() and meta_file.exists():
-                    records = cfeval.read_quality_records(cell_file)
-                    manifest.cells[cell_key] = {**prev_cell, "status": "done", "resumed": True}
+                    records, entry = None, {"status": "failed",
+                                            "error": f"block failed: {block_error}"}
                 else:
-                    t0 = time.perf_counter()
-                    try:
-                        records, items = generate_for_cell(config, cell, model, method_train,
-                                                           split.test, bounds, fail_rows)
-                    except Exception as exc:  # noqa: BLE001
-                        logger.exception("cell %s failed", cell_key)
-                        manifest.cells[cell_key] = {"status": "failed", "error": str(exc)}
-                        manifest.save(manifest_path)
-                        continue
-                    _atomic_write(cell_file, lambda p: cfeval.write_quality_records(p, records))
-                    names = split.test.feature_names
-                    _atomic_write(cfs_file, lambda p: cfgen.write_counterfactuals(
-                        p, _tmp_sibling(meta_file), names, items))
-                    os.replace(_tmp_sibling(meta_file), meta_file)
-                    manifest.cells[cell_key] = {
-                        "status": "done",
-                        "requests": len(fail_rows),
-                        "count": len(records),
-                        "records_file": str(cell_file),
-                        "counterfactuals_file": str(cfs_file),
-                        "meta_file": str(meta_file),
-                        "seconds": round(time.perf_counter() - t0, 3),
-                    }
-                records_per_cell[cell] = records
+                    records, entry = pipe.cell(cell, model, method_train, fail_rows)
+                manifest.cells[cell.key()] = entry
+                if records is not None:
+                    records_per_cell[cell] = records
                 manifest.save(manifest_path)
 
-    _write_outputs(config, out, perf_rows, records_per_cell, manifest)
+    _write_outputs(config, pipe.out, perf_rows, records_per_cell, manifest)
     manifest.save(manifest_path)
     return manifest
 
 
-def _atomic_json(path: Path, payload) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(payload, indent=2, sort_keys=True))
-    os.replace(tmp, path)
-
-
 def _atomic_write(path: Path, writer) -> None:
+    """Write ``path`` through ``writer(tmp)`` on a sibling ``.tmp`` file, then
+    rename it into place, so that no reader ever sees a partial artifact."""
     tmp = path.with_name(path.name + ".tmp")
     writer(tmp)
     os.replace(tmp, path)
 
 
-def _tmp_sibling(path: Path) -> Path:
-    return path.with_name(path.name + ".tmp")
+def _write_json(path, payload) -> None:
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True))
 
 
 def _write_performance(path, perf_rows) -> None:

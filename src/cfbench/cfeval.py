@@ -87,7 +87,7 @@ def score(x, cf: Counterfactual, model, train, ranges: RangeTable,
         reverted[np.arange(changed.size), changed] = x[changed]
         minimality = int((model.predict_proba_batch(reverted) < 0.5).sum())
     if cell is None:
-        cell = Cell(*cf.cell) if cf.cell is not None else Cell("-", "-", cf.method)
+        cell = Cell("-", "-", cf.method)
     if request_id is None:
         request_id = cf.source_request.request_id
     return QualityRecord(
@@ -122,17 +122,6 @@ def aggregate(records) -> list[CellSummary]:
             stats[name] = MetricStats(float(med), float(q1), float(q3), vals.size)
         summaries.append(CellSummary(cell=cell, stats=stats))
     return summaries
-
-
-def count_by_cell(cfs) -> dict[Cell, int]:
-    """Exact counterfactual counts per cell, in first-occurrence order."""
-    counts: dict[Cell, int] = {}
-    for cf in cfs:
-        if cf.cell is None:
-            raise ValueError("counterfactual has no cell assigned")
-        cell = Cell(*cf.cell)
-        counts[cell] = counts.get(cell, 0) + 1
-    return counts
 
 
 QUALITY_HEADER = ("balancing", "tuning", "method", "request_id", *METRIC_NAMES)

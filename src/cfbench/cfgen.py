@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dataset import PASS, LabeledDataset
-from .distance import RangeTable, gower, gower_cross, gower_many, heom_many
+from .distance import RangeTable, gower_cross, gower_many, heom_many
 from .rng import spawn_rng
 
 WHATIF = "whatif"
@@ -99,7 +99,6 @@ class Counterfactual:
     method: str
     source_request: CfRequest
     generation_meta: dict = field(default_factory=dict)
-    cell: tuple | None = None
 
     def __post_init__(self):
         v = np.array(self.values, dtype=np.float64)  # own copy, callers may reuse buffers
@@ -135,23 +134,21 @@ class MocConfig:
                 raise ValueError(f"{name} must lie in (0, 1)")
 
 
-def objectives(x, cand, model, train: LabeledDataset, ranges: RangeTable | None = None,
-               neighbors: int = PLAUSIBILITY_NEIGHBORS) -> MocObjectives:
-    """The four objective values of one candidate against one instance."""
-    x = np.asarray(x, dtype=np.float64)
-    cand = np.asarray(cand, dtype=np.float64)
-    if x.shape != cand.shape:
-        raise ValueError("dimension mismatch between instance and candidate")
-    rt = ranges if ranges is not None else RangeTable.from_dataset(train)
-    p_fail = model.predict_proba(cand)
-    d = gower_many(train.features, cand, rt)
-    k = min(neighbors, d.size)
-    return MocObjectives(
-        o_v=float(max(0.0, p_fail - 0.5)),
-        o_p=gower(x, cand, rt),
-        o_s=float(int((cand != x).sum())),
-        o_pl=float(np.partition(d, k - 1)[:k].mean()),
-    )
+def objectives(x, cands: np.ndarray, model, train: LabeledDataset, ranges: RangeTable):
+    """MOC's four objectives for each row of ``cands`` against the instance ``x``.
+
+    Returns the (rows, 4) matrix with columns in `MocObjectives` order and the
+    fail probabilities it was computed from. Plausibility is the mean Gower
+    distance to the ``PLAUSIBILITY_NEIGHBORS`` nearest training rows.
+    """
+    pfail = model.predict_proba_batch(cands)
+    o_v = np.maximum(0.0, pfail - 0.5)
+    o_p = gower_many(cands, x, ranges)
+    o_s = (cands != x).sum(axis=1).astype(np.float64)
+    d = gower_cross(cands, train.features, ranges)
+    k = min(PLAUSIBILITY_NEIGHBORS, train.n)
+    o_pl = np.partition(d, k - 1, axis=1)[:, :k].mean(axis=1)
+    return np.column_stack([o_v, o_p, o_s, o_pl]), pfail
 
 
 def whatif(req: CfRequest, model, pool: LabeledDataset, k: int = DEFAULT_WHATIF_K) -> list[Counterfactual]:
@@ -345,20 +342,13 @@ def moc(req: CfRequest, model, train: LabeledDataset, cfg: MocConfig) -> list[Co
     archive_birth: list[np.ndarray] = []
 
     def evaluate(cands: np.ndarray, gen: int):
-        pfail = model.predict_proba_batch(cands)
-        o_v = np.maximum(0.0, pfail - 0.5)
-        o_p = gower_many(cands, x, rt)
-        o_s = (cands != x).sum(axis=1).astype(np.float64)
-        d = gower_cross(cands, train.features, rt)
-        k = min(PLAUSIBILITY_NEIGHBORS, train.n)
-        o_pl = np.partition(d, k - 1, axis=1)[:, :k].mean(axis=1)
-        obj = np.column_stack([o_v, o_p, o_s, o_pl])
+        obj, pfail = objectives(x, cands, model, train, rt)
         valid = pfail < 0.5
         if valid.any():
             archive_rows.append(cands[valid].copy())
             archive_obj.append(obj[valid])
             archive_birth.append(np.full(int(valid.sum()), gen, dtype=np.int64))
-        return obj, pfail
+        return obj
 
     population = np.repeat(x[None, :], pop, axis=0)
     for i in range(pop):
@@ -367,7 +357,7 @@ def moc(req: CfRequest, model, train: LabeledDataset, cfg: MocConfig) -> list[Co
         donor = int(rng.integers(0, train.n))
         population[i, subset] = train.features[donor, subset]
     np.clip(population, lo, hi, out=population)
-    obj, _ = evaluate(population, gen=0)
+    obj = evaluate(population, gen=0)
 
     sigma = 0.1 * rt.widths
     for gen in range(1, cfg.generations + 1):
@@ -386,7 +376,7 @@ def moc(req: CfRequest, model, train: LabeledDataset, cfg: MocConfig) -> list[Co
         stepped = np.clip(children + rng.normal(0.0, 1.0, (pop, p)) * sigma[None, :], lo, hi)
         children = np.where(mutate & reset, x[None, :], np.where(mutate, stepped, children))
 
-        obj_c, _ = evaluate(children, gen=gen)
+        obj_c = evaluate(children, gen=gen)
         all_pop = np.vstack([population, children])
         all_obj = np.vstack([obj, obj_c])
         keep = _select(all_obj, pop, rows=all_pop, ranges=rt)

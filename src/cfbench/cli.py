@@ -1,8 +1,13 @@
 """Command-line interface.
 
-Subcommands: ``ingest`` (raw logs -> frame CSV), ``train`` (one cell's model
+Subcommands: ``ingest`` (raw logs -> frame CSV), ``train`` (one block's model
 and test metrics), ``explain`` (one instance, one method, printed diff),
 ``run`` (the full benchmark grid), ``report`` (re-aggregate existing records).
+
+``train`` and ``explain`` go through the block step of `bench.Pipeline`, as
+``run`` does: they reuse the forest of a finished run in the output directory
+when its manifest has the same config hash, and otherwise fit it and write
+the same ``models/`` files that ``run`` writes.
 """
 
 from __future__ import annotations
@@ -13,11 +18,9 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
-from . import bench, cfeval, cfgen, forest
+from . import bench, cfeval, cfgen
 from .cfeval import Cell
-from .dataset import imbalance_ratio, ingest_oulad, stratified_split
+from .dataset import imbalance_ratio, ingest_oulad
 
 
 def _parse_cell(text: str, want_method: bool) -> Cell:
@@ -60,37 +63,32 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def _prepare_block(config, cell):
-    data = bench.load_data(config)
-    split = stratified_split(
-        data, config.test_fraction, bench.seed_for(config.master_seed, bench.GLOBAL_CELL, "split")
-    )
-    method_train, weights = bench.prepare_training(config, split.train, cell.balancing)
-    model, hp = bench.fit_block(config, method_train, weights, cell.balancing, cell.tuning)
-    return split, method_train, model, hp
+def _block(config, cell):
+    """The run's pipeline, the block's training set, and its forest, meta and entry."""
+    pipe = bench.Pipeline.open(config)
+    method_train, weights = bench.prepare_training(config, pipe.split.train, cell.balancing)
+    return (pipe, method_train,
+            *pipe.block(cell.balancing, cell.tuning, method_train, weights))
 
 
 def cmd_train(args) -> int:
     config = _load_config(args)
     cell = _parse_cell(args.cell, want_method=False)
-    split, method_train, model, hp = _prepare_block(config, cell)
-    metrics = forest.evaluate(model, split.test)
-    out = Path(config.output_dir) / "models"
-    out.mkdir(parents=True, exist_ok=True)
-    model_path = out / f"{cell.balancing}_{cell.tuning}.forest"
-    forest.save_model(model, model_path)
+    _, _, _, meta, entry = _block(config, cell)
+    hp, metrics = meta["hyperparams"], meta["metrics"]
     print(f"cell {cell.balancing}:{cell.tuning}")
-    print(f"hyperparams: mtry={hp.mtry} splitrule={hp.splitrule} "
-          f"min_node_size={hp.min_node_size} n_trees={hp.n_trees}")
-    print(f"accuracy {metrics.accuracy:.4f}  auc {metrics.auc:.4f}  f1 {metrics.f1:.4f}")
-    print(f"model saved to {model_path}")
+    print(f"hyperparams: mtry={hp['mtry']} splitrule={hp['splitrule']} "
+          f"min_node_size={hp['min_node_size']} n_trees={hp['n_trees']}")
+    print(f"accuracy {metrics['accuracy']:.4f}  auc {metrics['auc']:.4f}  f1 {metrics['f1']:.4f}")
+    print(f"model {'loaded from' if entry.get('resumed') else 'saved to'} {entry['model_file']}")
     return 0
 
 
 def cmd_explain(args) -> int:
     config = _load_config(args)
     cell = _parse_cell(args.cell, want_method=True)
-    split, method_train, model, _ = _prepare_block(config, cell)
+    pipe, method_train, model, _, _ = _block(config, cell)
+    split = pipe.split
     fail_rows = bench.fail_predicted_rows(model, split.test, config.max_explained_instances)
     if not fail_rows:
         print("no test instance is predicted as failing in this cell")
@@ -98,9 +96,8 @@ def cmd_explain(args) -> int:
     row = args.index if args.index is not None else fail_rows[0]
     if row not in fail_rows:
         raise SystemExit(f"test row {row} is not among the fail-predicted rows {fail_rows[:10]}...")
-    bounds = np.array([[s.min_value, s.max_value] for s in split.train.specs])
     records, items = bench.generate_for_cell(config, cell, model, method_train,
-                                             split.test, bounds, [row])
+                                             split.test, pipe.bounds, [row])
     if not items:
         print(f"request {row}: no valid counterfactual found")
         return 1

@@ -47,7 +47,6 @@ class FeatureSpec:
     name: str
     min_value: float
     max_value: float
-    kind: str = "numeric"
 
     def __post_init__(self):
         if self.min_value > self.max_value:
@@ -56,10 +55,6 @@ class FeatureSpec:
     @property
     def width(self) -> float:
         return self.max_value - self.min_value
-
-    @property
-    def is_constant(self) -> bool:
-        return self.width == 0.0
 
 
 @dataclass(frozen=True)

@@ -101,29 +101,18 @@ def gower_cross(rows, others, ranges: RangeTable) -> np.ndarray:
     return total / active.size
 
 
-def heom(a, b, ranges: RangeTable, categorical=None) -> float:
-    """Heterogeneous Euclidean-overlap distance.
+def heom_many(pool, x, ranges: RangeTable) -> np.ndarray:
+    """Heterogeneous Euclidean-overlap distance from each row of ``pool`` to ``x``.
 
-    Numeric features contribute their range-normalized absolute difference;
-    categorical features (marked in the optional boolean mask) contribute a
-    0/1 mismatch indicator. Result is the L2 norm of the contributions.
+    Every feature is numeric here, so this is the L2 norm of the
+    range-normalized absolute differences over non-constant features.
     """
-    return float(heom_many(np.asarray(b)[None, :], a, ranges, categorical)[0])
-
-
-def heom_many(pool, x, ranges: RangeTable, categorical=None) -> np.ndarray:
     pool = np.atleast_2d(np.asarray(pool, dtype=np.float64))
     x = np.asarray(x, dtype=np.float64)
     _check(ranges, pool, x)
-    cat = np.zeros(ranges.p, dtype=bool) if categorical is None else np.asarray(categorical, dtype=bool)
-    num = ranges.active & ~cat
-    total = np.zeros(pool.shape[0])
-    if num.any():
-        terms = np.abs(pool[:, num] - x[num]) / ranges.widths[num]
-        total += (terms * terms).sum(axis=1)
-    if cat.any():
-        total += (pool[:, cat] != x[cat]).sum(axis=1)
-    return np.sqrt(total)
+    num = ranges.active
+    terms = np.abs(pool[:, num] - x[num]) / ranges.widths[num]
+    return np.sqrt((terms * terms).sum(axis=1))
 
 
 def k_nearest(query, pool, metric: str, k: int, ranges: RangeTable) -> list[tuple[int, float]]:

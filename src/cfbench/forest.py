@@ -16,14 +16,13 @@ model is immutable and safe for concurrent prediction.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .balance import ClassWeights
-from .dataset import FAIL, PASS, LabeledDataset
+from .dataset import FAIL, LabeledDataset
 from .rng import derive_seed, seed_entropy
 
 GINI = "gini"
@@ -33,8 +32,6 @@ SPLITRULES = (GINI, EXTRATREES)
 OBJECTIVES = ("auc", "accuracy", "f1")
 
 DEFAULT_N_TREES = 500
-_MTRY_CANDIDATES = (2, 6, 21, 41)
-_MIN_NODE_CANDIDATES = (1, 5, 10)
 
 
 @dataclass(frozen=True)
@@ -114,13 +111,6 @@ class RandomForestModel:
     def predict_proba(self, x) -> float:
         return float(self.predict_proba_batch(np.asarray(x)[None, :])[0])
 
-    def predict_labels_batch(self, X) -> np.ndarray:
-        # ties at 0.5 go to fail, the minority class of interest
-        return np.where(self.predict_proba_batch(X) >= 0.5, FAIL, PASS)
-
-    def predict_label(self, x) -> str:
-        return FAIL if self.predict_proba(x) >= 0.5 else PASS
-
     def predict_proba_trees(self, X) -> np.ndarray:
         """Per-tree fail probabilities, shape (n_trees, n_rows); used for OOB audits."""
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
@@ -146,17 +136,6 @@ def vanilla_hyperparams(p: int, n_trees: int = DEFAULT_N_TREES) -> Hyperparams:
     """Standard defaults: mtry = floor(sqrt(p)), gini splits, min node size 1."""
     return Hyperparams(mtry=max(1, int(math.sqrt(p))), splitrule=GINI,
                        min_node_size=1, n_trees=n_trees)
-
-
-def default_grid(p: int, n_trees: int = DEFAULT_N_TREES) -> list[Hyperparams]:
-    """Tuning grid over mtry x splitrule x min_node_size, clamped to p features."""
-    mtries = sorted({min(c, p) for c in _MTRY_CANDIDATES})
-    return [
-        Hyperparams(mtry=m, splitrule=rule, min_node_size=s, n_trees=n_trees)
-        for m in mtries
-        for rule in SPLITRULES
-        for s in _MIN_NODE_CANDIDATES
-    ]
 
 
 def _split_gini(V, y, w):
@@ -414,10 +393,8 @@ FOREST_FORMAT = "cfbench-forest 1"
 
 
 def save_model(model: RandomForestModel, path) -> None:
-    """Write the forest as flat text, one node per line, atomically."""
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with tmp.open("w") as fh:
+    """Write the forest as flat text, one node per line."""
+    with Path(path).open("w") as fh:
         fh.write(FOREST_FORMAT + "\n")
         fh.write(f"p {model.p}\n")
         fh.write(f"trees {model.n_trees}\n")
@@ -435,7 +412,6 @@ def save_model(model: RandomForestModel, path) -> None:
                         f"{t},{i},{tree.feature[i]},{float(tree.threshold[i])!r},"
                         f"{tree.left[i]},{tree.right[i]},,\n"
                     )
-    os.replace(tmp, path)
 
 
 def load_model(path) -> RandomForestModel:

@@ -4,8 +4,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cfbench.dataset import FAIL, PASS
-
 from synth import make_blobs, write_oulad_raw
 
 
@@ -22,12 +20,6 @@ class StubModel:
 
     def predict_proba(self, x):
         return float(self.predict_proba_batch(np.asarray(x)[None, :])[0])
-
-    def predict_labels_batch(self, X):
-        return np.where(self.predict_proba_batch(X) >= 0.5, FAIL, PASS)
-
-    def predict_label(self, x):
-        return FAIL if self.predict_proba(x) >= 0.5 else PASS
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -213,6 +214,21 @@ class TestRun:
         assert manifest.cells["smote:vanilla:whatif"]["status"] == "failed"
         assert "SMOTE" in manifest.cells["smote:vanilla:whatif"]["error"]
         assert manifest.cells["original:vanilla:whatif"]["status"] == "done"
+        # counts.csv leaves the failed cell blank
+        count = manifest.cells["original:vanilla:whatif"]["count"]
+        assert (out / "counts.csv").read_text().splitlines()[1] == f"whatif,vanilla,,{count}"
+
+    def test_counts_csv_matches_records(self, frame_csv, tmp_path):
+        out = tmp_path / "out"
+        run(tiny_config(frame_csv, out, balancing=("original", "undersampling"),
+                        methods=("moc", "nice_sp")))
+        records = (out / "quality_records.csv").read_text().splitlines()[1:]
+        per_cell = Counter(tuple(line.split(",")[:3]) for line in records)
+        header, *rows = [line.split(",") for line in (out / "counts.csv").read_text().splitlines()]
+        counts = {(b, tuning, method): int(v)
+                  for method, tuning, *values in rows for b, v in zip(header[2:], values)}
+        assert len(counts) == 4 and sum(counts.values()) == len(records) > 0
+        assert counts == {cell: per_cell.get(cell, 0) for cell in counts}
 
     def test_moc_and_validity_on_small_grid(self, frame_csv, tmp_path):
         out = tmp_path / "out"

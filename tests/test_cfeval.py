@@ -6,7 +6,6 @@ from cfbench.cfeval import (
     MetricStats,
     QualityRecord,
     aggregate,
-    count_by_cell,
     read_quality_records,
     score,
     write_cell_summaries,
@@ -23,9 +22,9 @@ def dataset(rows, labels):
     return LabeledDataset.from_arrays(np.asarray(rows, dtype=float), labels)
 
 
-def make_cf(values, req, method="moc", cell=None):
+def make_cf(values, req, method="moc"):
     return Counterfactual(values=np.asarray(values, dtype=float), method=method,
-                          source_request=req, cell=cell)
+                          source_request=req)
 
 
 def quality(request_id=0, cell=Cell("original", "vanilla", "moc"), validity=1,
@@ -137,26 +136,6 @@ class TestAggregate:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="no records"):
             aggregate([])
-
-
-class TestCounts:
-    def test_empty(self):
-        assert count_by_cell([]) == {}
-
-    def test_counts_per_cell(self):
-        train = dataset([[0, 0], [1, 1]], [FAIL, PASS])
-        req = CfRequest.for_instance(np.zeros(2), train)
-        a = Cell("original", "vanilla", "moc")
-        b = Cell("original", "vanilla", "whatif")
-        cfs = [make_cf([1, 1], req, cell=a), make_cf([1, 0], req, cell=a),
-               make_cf([0, 1], req, cell=b)]
-        assert count_by_cell(cfs) == {a: 2, b: 1}
-
-    def test_missing_cell_rejected(self):
-        train = dataset([[0, 0], [1, 1]], [FAIL, PASS])
-        req = CfRequest.for_instance(np.zeros(2), train)
-        with pytest.raises(ValueError, match="no cell"):
-            count_by_cell([make_cf([1, 1], req)])
 
 
 class TestCsv:

@@ -11,6 +11,7 @@ from cfbench.cfgen import (
     WHATIF,
     CfRequest,
     MocConfig,
+    MocObjectives,
     moc,
     nice,
     objectives,
@@ -41,19 +42,26 @@ def brute_gower(a, b, widths):
     return total / active
 
 
+def objectives_of(x, cand, model, train):
+    """The merged MOC objective function on a one-row candidate block."""
+    obj, _ = objectives(np.asarray(x, dtype=float), np.asarray(cand, dtype=float)[None, :],
+                        model, train, RangeTable.from_dataset(train))
+    return MocObjectives(*obj[0])
+
+
 class TestObjectives:
     def test_identity_candidate(self):
         train = dataset([[0, 0], [1, 1], [2, 2]], [FAIL, PASS, PASS])
         model = StubModel(lambda r: 1.0 if r[0] < 1 else 0.0, p=2)
         x = np.array([0.0, 0.0])
-        obj = objectives(x, x, model, train)
+        obj = objectives_of(x, x, model, train)
         assert obj.o_p == 0.0 and obj.o_s == 0
         assert obj.o_v > 0.0
 
     def test_changed_feature_count(self):
         train = dataset([[0, 0, 0], [1, 1, 1]], [FAIL, PASS])
         model = StubModel(lambda r: 0.0, p=3)
-        obj = objectives(np.zeros(3), np.array([1.0, 2.0, 3.0]), model, train)
+        obj = objectives_of(np.zeros(3), np.array([1.0, 2.0, 3.0]), model, train)
         assert obj.o_s == 3
         assert obj.o_v == 0.0
 
@@ -66,7 +74,7 @@ class TestObjectives:
         cand = rows[7]  # a real training instance: itself contributes 0
         dists = sorted(brute_gower(cand, row, widths) for row in rows)
         expected = sum(dists[:5]) / 5
-        obj = objectives(rng.uniform(0, 10, size=3), cand, model, train)
+        obj = objectives_of(rng.uniform(0, 10, size=3), cand, model, train)
         assert obj.o_pl == pytest.approx(expected)
         assert dists[0] == 0.0
 
@@ -74,7 +82,7 @@ class TestObjectives:
         train = dataset([[0, 0], [1, 1]], [FAIL, PASS])
         model = StubModel(lambda r: 0.0, p=2)
         with pytest.raises(ValueError, match="dimension"):
-            objectives(np.zeros(3), np.zeros(2), model, train)
+            objectives_of(np.zeros(3), np.zeros(2), model, train)
 
 
 def whatif_oracle(req, model, pool, k, widths):
@@ -124,7 +132,7 @@ class TestWhatif:
         dists = [cf.generation_meta["distance"] for cf in out]
         assert dists == sorted(dists)
         for cf in out:
-            assert self.model.predict_label(cf.values) == PASS
+            assert self.model.predict_proba(cf.values) < 0.5
 
     def test_shortfall_error_names_counts(self):
         pool = dataset([[0, 0], [1, 1], [5, 5]], [FAIL, FAIL, PASS])

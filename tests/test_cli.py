@@ -1,5 +1,6 @@
 import pytest
 
+from cfbench import forest
 from cfbench.cli import main
 from cfbench.dataset import FRAME_COLUMNS, load_csv
 
@@ -83,6 +84,44 @@ def test_explain(config_file, capsys):
     captured = capsys.readouterr()
     assert "p(fail):" in captured.out
     assert "->" in captured.out
+
+
+def test_train_and_explain_reuse_a_finished_run(tmp_path, config_file, capsys, monkeypatch):
+    """On a finished run's output directory and config, no forest is fit or tuned again."""
+    text = config_file.read_text().replace("tuning = vanilla", "tuning = tuned") + """
+[tune]
+folds = 2
+mtry = 2,6
+splitrule = gini
+min_node_size = 1
+"""
+    config = tmp_path / "tuned.cfg"
+    config.write_text(text)
+    fresh = tmp_path / "fresh.cfg"
+    fresh.write_text(text.replace(str(tmp_path / "out"), str(tmp_path / "fresh")))
+    explain = ["explain", "--cell", "undersampling:tuned:nice_sp"]
+    assert main([*explain, "--config", str(fresh)]) == 0
+    fresh_lines = capsys.readouterr().out
+    assert main(["run", "--config", str(config)]) == 0
+    models = {p.name: p.read_bytes() for p in (tmp_path / "out" / "models").iterdir()}
+    # a fresh explain writes the same model files as run
+    fresh_models = sorted((tmp_path / "fresh" / "models").iterdir())
+    assert [p.name for p in fresh_models] == ["undersampling_tuned.forest",
+                                              "undersampling_tuned.json"]
+    assert all(p.read_bytes() == models[p.name] for p in fresh_models)
+
+    def refit(*args, **kwargs):
+        raise AssertionError("a finished run's forest was fit again")
+
+    monkeypatch.setattr(forest, "fit_forest", refit)
+    monkeypatch.setattr(forest, "tune", refit)
+    capsys.readouterr()
+    assert main(["train", "--config", str(config), "--cell", "original:tuned"]) == 0
+    assert "model loaded from" in capsys.readouterr().out
+    assert main([*explain, "--config", str(config)]) == 0
+    assert capsys.readouterr().out == fresh_lines
+    assert {p.name: p.read_bytes() for p in (tmp_path / "out" / "models").iterdir()} == models
+    assert not list(tmp_path.rglob("*.tmp"))
 
 
 def test_bad_cell_rejected(config_file):

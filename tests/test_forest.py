@@ -1,9 +1,11 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cfbench.balance import ClassWeights, cost_weights
+from cfbench.bench import ExperimentConfig, fail_predicted_rows
 from cfbench.dataset import FAIL, PASS, LabeledDataset
 from cfbench.forest import (
     CvSpec,
@@ -12,7 +14,6 @@ from cfbench.forest import (
     Tree,
     _fit_trees,
     _grow_tree,
-    default_grid,
     evaluate,
     fit_forest,
     load_model,
@@ -73,8 +74,8 @@ class TestFit:
     def test_separable_training_accuracy(self):
         ds = separable_dataset()
         model = fit_forest(ds, Hyperparams(1, "gini", 1, n_trees=20), ClassWeights.unit(), seed=0)
-        pred = model.predict_labels_batch(ds.features)
-        assert (pred == ds.labels).mean() == 1.0
+        pred_fail = model.predict_proba_batch(ds.features) >= 0.5
+        assert (pred_fail == (ds.labels == FAIL)).mean() == 1.0
 
     def test_deterministic_predictions(self):
         ds = make_blobs(n=80, p=4, seed=1)
@@ -194,7 +195,6 @@ class TestPredict:
     def test_unanimous_fail(self):
         model = RandomForestModel((leaf_tree(1.0), leaf_tree(1.0)), ClassWeights.unit(), 0, p=2)
         assert model.predict_proba([0.0, 0.0]) == 1.0
-        assert model.predict_label([0.0, 0.0]) == FAIL
 
     def test_mean_of_leaf_probs(self):
         model = RandomForestModel((leaf_tree(0.2), leaf_tree(0.6)), ClassWeights.unit(), 0, p=1)
@@ -202,7 +202,8 @@ class TestPredict:
 
     def test_tie_goes_to_fail(self):
         model = RandomForestModel((leaf_tree(0.5),), ClassWeights.unit(), 0, p=1)
-        assert model.predict_label([0.0]) == FAIL
+        test = LabeledDataset.from_arrays([[0.0], [1.0]], [FAIL, PASS])
+        assert fail_predicted_rows(model, test, None) == [0, 1]
 
     def test_dimension_mismatch(self):
         model = RandomForestModel((leaf_tree(0.5),), ClassWeights.unit(), 0, p=2)
@@ -307,13 +308,13 @@ class TestDefaults:
         assert hp == Hyperparams(mtry=6, splitrule="gini", min_node_size=1, n_trees=500)
 
     def test_grid_covers_reported_optima(self):
-        grid = default_grid(42)
+        grid = ExperimentConfig(frame_csv=Path("frame.csv")).full_scale().grid(42)
         assert len(grid) == 4 * 2 * 3
         for mtry, rule, size in [(41, "gini", 1), (41, "extratrees", 1), (21, "gini", 1)]:
             assert Hyperparams(mtry, rule, size, n_trees=500) in grid
 
     def test_grid_clamped_to_p(self):
-        grid = default_grid(10)
+        grid = ExperimentConfig(frame_csv=Path("frame.csv")).grid(10)
         assert {hp.mtry for hp in grid} == {2, 6, 10}
 
 
