@@ -16,7 +16,8 @@ CSV outputs.
 (balancing, tuning) forest and writes ``models/``; its cell step resumes or
 generates one (balancing, tuning, method) cell and writes ``cells/``. `run`
 drives both over the grid; the CLI's ``train`` and ``explain`` use the same
-block step, so they reuse a finished run's forest under the same config hash.
+block step, so they reuse a forest that an earlier ``run``, ``train`` or
+``explain`` fit into the same output directory under the same config hash.
 Every artifact reaches disk through `_atomic_write`.
 """
 
@@ -300,21 +301,26 @@ def generate_for_cell(config: ExperimentConfig, cell: Cell, model, method_train:
 
     ``bounds`` are the original training-split feature ranges, shared by every
     cell so that distances stay comparable across balancing strategies.
+    The pool predictions that whatif and nice filter by are the same for every
+    request, so they are made once here.
     Returns (quality records, (request_id, counterfactual, valid) triples).
     """
     ranges = RangeTable.from_bounds(bounds)
     mask = np.ones(test.p, dtype=bool)
+    pool_scores = None
+    if cell.method in (cfgen.WHATIF, cfgen.NICE_SP, cfgen.NICE_PR):
+        pool_scores = model.predict_proba_batch(method_train.features)
     records = []
     items = []
     for row in fail_rows:
         x = test.features[row]
         req = cfgen.CfRequest(x=x, mutable_mask=mask, bounds=bounds, request_id=int(row))
         if cell.method == cfgen.WHATIF:
-            cfs = cfgen.whatif(req, model, method_train, k=config.whatif_k)
+            cfs = cfgen.whatif(req, model, method_train, k=config.whatif_k, scores=pool_scores)
         elif cell.method == cfgen.NICE_SP:
-            cfs = [cfgen.nice(req, model, method_train, cfgen.SPARSITY)]
+            cfs = [cfgen.nice(req, model, method_train, cfgen.SPARSITY, scores=pool_scores)]
         elif cell.method == cfgen.NICE_PR:
-            cfs = [cfgen.nice(req, model, method_train, cfgen.PROXIMITY)]
+            cfs = [cfgen.nice(req, model, method_train, cfgen.PROXIMITY, scores=pool_scores)]
         elif cell.method == cfgen.MOC:
             moc_seed = seed_for(config.master_seed, cell, f"moc:{row}")
             cfs = cfgen.moc(req, model, method_train, config.moc_config(moc_seed))
@@ -401,6 +407,16 @@ class Pipeline:
         entry = {"status": "done", "seconds": round(time.perf_counter() - t0, 3),
                  "model_file": str(model_path), **meta}
         return model, meta, entry
+
+    def record_block(self, balancing: str, tuning: str, entry: dict) -> None:
+        """Write a freshly fit block's entry into ``manifest.json``, so that the
+        next block step on this output directory and config loads the forest.
+
+        The entry is merged into the previous manifest. A manifest of another
+        config hash is replaced: this block has just overwritten its models.
+        """
+        self.previous.blocks[f"{balancing}:{tuning}"] = entry
+        self.previous.save(self.out / "manifest.json")
 
     def cell(self, cell: Cell, model, method_train: LabeledDataset, fail_rows):
         """The cell's quality records (None if generation failed) and its

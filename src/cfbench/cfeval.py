@@ -80,12 +80,12 @@ def score(x, cf: Counterfactual, model, train, ranges: RangeTable,
     if x.shape != values.shape:
         raise ValueError("dimension mismatch between instance and counterfactual")
     changed = np.flatnonzero(values != x)
-    validity = 1 if model.predict_proba(values) < 0.5 else 0
-    minimality = 0
-    if changed.size:
-        reverted = np.repeat(values[None, :], changed.size, axis=0)
-        reverted[np.arange(changed.size), changed] = x[changed]
-        minimality = int((model.predict_proba_batch(reverted) < 0.5).sum())
+    # one model call: row 0 is the counterfactual, row 1 + i reverts changed[i]
+    rows = np.repeat(values[None, :], 1 + changed.size, axis=0)
+    rows[1 + np.arange(changed.size), changed] = x[changed]
+    passes = model.predict_proba_batch(rows) < 0.5
+    validity = int(passes[0])
+    minimality = int(passes[1:].sum())
     if cell is None:
         cell = Cell("-", "-", cf.method)
     if request_id is None:

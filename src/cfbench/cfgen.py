@@ -151,17 +151,21 @@ def objectives(x, cands: np.ndarray, model, train: LabeledDataset, ranges: Range
     return np.column_stack([o_v, o_p, o_s, o_pl]), pfail
 
 
-def whatif(req: CfRequest, model, pool: LabeledDataset, k: int = DEFAULT_WHATIF_K) -> list[Counterfactual]:
+def whatif(req: CfRequest, model, pool: LabeledDataset, k: int = DEFAULT_WHATIF_K,
+           scores=None) -> list[Counterfactual]:
     """The k Gower-nearest pool instances whose model prediction is pass.
 
     Filtering the candidate pool by prediction (not observed label) guarantees
     validity. With a partial mutable mask, candidates must also agree with x
     on every immutable feature. Ties break toward the lower pool index.
+    ``scores`` are the model's fail probabilities of the pool rows, predicted
+    here when not given; a caller explaining many requests predicts them once.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
     rt = req.ranges()
-    scores = model.predict_proba_batch(pool.features)
+    if scores is None:
+        scores = model.predict_proba_batch(pool.features)
     valid = scores < 0.5
     if not req.mutable_mask.all():
         frozen = ~req.mutable_mask
@@ -184,7 +188,8 @@ def whatif(req: CfRequest, model, pool: LabeledDataset, k: int = DEFAULT_WHATIF_
     ]
 
 
-def nice(req: CfRequest, model, train: LabeledDataset, reward: str) -> Counterfactual:
+def nice(req: CfRequest, model, train: LabeledDataset, reward: str,
+         scores=None) -> Counterfactual:
     """Greedy feature-copy search anchored at the nearest unlike neighbor.
 
     The anchor z is the HEOM-nearest training instance that is labeled pass
@@ -193,12 +198,14 @@ def nice(req: CfRequest, model, train: LabeledDataset, reward: str) -> Counterfa
     gain toward pass (``sparsity``) or that gain divided by the Gower cost of
     the copy (``proximity``) -- until the prediction flips. Copying every
     mutable feature reaches z itself, which is valid by construction, so
-    termination is guaranteed under a full mask.
+    termination is guaranteed under a full mask. ``scores`` are the model's
+    fail probabilities of the training rows, as in `whatif`.
     """
     if reward not in (SPARSITY, PROXIMITY):
         raise ValueError(f"reward must be {SPARSITY!r} or {PROXIMITY!r}")
     rt = req.ranges()
-    scores = model.predict_proba_batch(train.features)
+    if scores is None:
+        scores = model.predict_proba_batch(train.features)
     pool = np.flatnonzero((scores < 0.5) & (train.labels == PASS))
     if pool.size == 0:
         raise ValueError("no correctly predicted pass instance to anchor the search")
@@ -355,8 +362,8 @@ def moc(req: CfRequest, model, train: LabeledDataset, cfg: MocConfig) -> list[Co
         size = int(rng.integers(1, mutable_idx.size + 1))
         subset = rng.choice(mutable_idx, size=size, replace=False)
         donor = int(rng.integers(0, train.n))
-        population[i, subset] = train.features[donor, subset]
-    np.clip(population, lo, hi, out=population)
+        # only the copied features are clipped: an out-of-range x_j stays x_j
+        population[i, subset] = np.clip(train.features[donor, subset], lo[subset], hi[subset])
     obj = evaluate(population, gen=0)
 
     sigma = 0.1 * rt.widths

@@ -5,9 +5,10 @@ and test metrics), ``explain`` (one instance, one method, printed diff),
 ``run`` (the full benchmark grid), ``report`` (re-aggregate existing records).
 
 ``train`` and ``explain`` go through the block step of `bench.Pipeline`, as
-``run`` does: they reuse the forest of a finished run in the output directory
-when its manifest has the same config hash, and otherwise fit it and write
-the same ``models/`` files that ``run`` writes.
+``run`` does: they reuse a forest in the output directory when its manifest
+has the same config hash and marks the block done, and otherwise fit it, write
+the same ``models/`` files that ``run`` writes and record the block in the
+manifest.
 """
 
 from __future__ import annotations
@@ -64,11 +65,14 @@ def cmd_ingest(args) -> int:
 
 
 def _block(config, cell):
-    """The run's pipeline, the block's training set, and its forest, meta and entry."""
+    """The run's pipeline, the block's training set, and its forest, meta and
+    entry. A freshly fit block is recorded in the manifest."""
     pipe = bench.Pipeline.open(config)
     method_train, weights = bench.prepare_training(config, pipe.split.train, cell.balancing)
-    return (pipe, method_train,
-            *pipe.block(cell.balancing, cell.tuning, method_train, weights))
+    model, meta, entry = pipe.block(cell.balancing, cell.tuning, method_train, weights)
+    if not entry.get("resumed"):
+        pipe.record_block(cell.balancing, cell.tuning, entry)
+    return pipe, method_train, model, meta, entry
 
 
 def cmd_train(args) -> int:

@@ -87,49 +87,95 @@ class Tree:
 
 
 @dataclass(frozen=True)
+class NodeTable:
+    """Every node of a forest in one table, for prediction.
+
+    Tree t's nodes follow tree t-1's, its root is ``roots[t]`` and child
+    indices are global. A leaf's two children are the leaf itself (and its
+    split feature is 0), so a traversal step needs no leaf mask: after
+    ``depth`` steps every (tree, row) pair is at its leaf. ``children[2 * i]``
+    is node i's right child and ``children[2 * i + 1]`` its left one. The
+    arrays are read-only.
+    """
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    children: np.ndarray
+    p_fail: np.ndarray
+    roots: np.ndarray
+    depth: int
+
+    @classmethod
+    def of(cls, trees) -> "NodeTable":
+        sizes = np.array([t.feature.size for t in trees], dtype=np.intp)
+        roots = np.concatenate([[0], np.cumsum(sizes)[:-1]]).astype(np.intp)
+        feature = np.concatenate([t.feature for t in trees]).astype(np.intp)
+        leaf = feature < 0
+        right_left = np.column_stack([np.concatenate([t.right for t in trees]),
+                                      np.concatenate([t.left for t in trees])])
+        children = np.where(leaf[:, None], np.arange(feature.size)[:, None],
+                            right_left + np.repeat(roots, sizes)[:, None]).astype(np.intp)
+        feature[leaf] = 0
+        depth, level = 0, roots
+        while True:  # one pass per level, over all trees at once
+            level = level[~leaf[level]]
+            if not level.size:
+                break
+            level = children[level].ravel()
+            depth += 1
+        table = cls(feature, np.concatenate([t.threshold for t in trees]), children.ravel(),
+                    np.concatenate([t.p_fail for t in trees]), roots, depth)
+        for arr in (table.feature, table.threshold, table.children, table.p_fail, table.roots):
+            arr.setflags(write=False)
+        return table
+
+    def leaf_proba(self, X: np.ndarray) -> np.ndarray:
+        """Leaf fail probability of every (tree, row) pair, shape (n_trees, n_rows)."""
+        n, p = X.shape
+        flat_x = np.ascontiguousarray(X).ravel()
+        node = np.repeat(self.roots, n)
+        row_start = np.tile(np.arange(0, n * p, p), self.roots.size)
+        for _ in range(self.depth):
+            go_left = flat_x[row_start + self.feature[node]] <= self.threshold[node]
+            node = self.children[2 * node + go_left]
+        return self.p_fail[node].reshape(self.roots.size, n)
+
+
+@dataclass(frozen=True)
 class RandomForestModel:
+    """A fitted forest. ``trees`` is the grower's per-tree output and what
+    `save_model` writes; prediction goes through ``table``, one `NodeTable`
+    of all trees, built here."""
+
     trees: tuple[Tree, ...]
     class_weights: ClassWeights
     training_seed: int
     p: int
     inbag: np.ndarray | None = field(default=None, repr=False)
+    table: NodeTable = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "table", NodeTable.of(self.trees))
 
     @property
     def n_trees(self) -> int:
         return len(self.trees)
 
     def predict_proba_batch(self, X) -> np.ndarray:
-        """Probability of the fail class for each row: mean of per-tree leaf probabilities."""
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        if X.shape[1] != self.p:
-            raise ValueError(f"dimension mismatch: {X.shape[1]} features, model expects {self.p}")
-        acc = np.zeros(X.shape[0])
-        for tree in self.trees:
-            acc += _tree_leaf_proba(tree, X)
-        return acc / len(self.trees)
+        """Probability of the fail class for each row: mean of per-tree leaf
+        probabilities. A row's value does not depend on the other rows of ``X``."""
+        # cumsum adds the trees one after another, in tree order, for every row
+        return self.predict_proba_trees(X).cumsum(axis=0)[-1] / len(self.trees)
 
     def predict_proba(self, x) -> float:
         return float(self.predict_proba_batch(np.asarray(x)[None, :])[0])
 
     def predict_proba_trees(self, X) -> np.ndarray:
-        """Per-tree fail probabilities, shape (n_trees, n_rows); used for OOB audits."""
+        """Per-tree fail probabilities, shape (n_trees, n_rows)."""
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        return np.vstack([_tree_leaf_proba(tree, X) for tree in self.trees])
-
-
-def _tree_leaf_proba(tree: Tree, X: np.ndarray) -> np.ndarray:
-    node = np.zeros(X.shape[0], dtype=np.int32)
-    feat = tree.feature[node]
-    while True:
-        active = feat >= 0
-        if not active.any():
-            break
-        rows = np.flatnonzero(active)
-        cur = node[rows]
-        go_left = X[rows, tree.feature[cur]] <= tree.threshold[cur]
-        node[rows] = np.where(go_left, tree.left[cur], tree.right[cur])
-        feat = tree.feature[node]
-    return tree.p_fail[node]
+        if X.shape[1] != self.p:
+            raise ValueError(f"dimension mismatch: {X.shape[1]} features, model expects {self.p}")
+        return self.table.leaf_proba(X)
 
 
 def vanilla_hyperparams(p: int, n_trees: int = DEFAULT_N_TREES) -> Hyperparams:

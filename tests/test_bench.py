@@ -3,19 +3,28 @@ from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from cfbench import cfgen
 from cfbench.bench import (
     BALANCING_ALL,
     TUNING_ALL,
     ExperimentConfig,
+    Pipeline,
     RunManifest,
+    fail_predicted_rows,
+    fit_block,
+    generate_for_cell,
     parse_config,
+    prepare_training,
     run,
     seed_for,
 )
-from cfbench.cfeval import Cell
+from cfbench.cfeval import Cell, QualityRecord
 from cfbench.cfgen import METHODS
+from cfbench.distance import RangeTable, gower, gower_many
+from cfbench.forest import RandomForestModel
 
 from synth import make_week_frame
 
@@ -256,3 +265,73 @@ class TestRun:
         a = (tmp_path / "a" / "quality_records.csv").read_bytes()
         b = (tmp_path / "b" / "quality_records.csv").read_bytes()
         assert a != b
+
+
+def count_predict_calls(monkeypatch) -> list[int]:
+    """Patch the forest's batch predict to record the row count of each call."""
+    rows = []
+    original = RandomForestModel.predict_proba_batch
+
+    def counting(model, X):
+        rows.append(np.atleast_2d(X).shape[0])
+        return original(model, X)
+
+    monkeypatch.setattr(RandomForestModel, "predict_proba_batch", counting)
+    return rows
+
+
+def one_at_a_time(config, cell, model, train, test, bounds, fail_rows):
+    """Reference cell: every request predicts the pool itself, and scoring
+    predicts the counterfactual and each reverted change by a single-row call."""
+    ranges = RangeTable.from_bounds(bounds)
+    records, values = [], []
+    for row in fail_rows:
+        x = test.features[row]
+        req = cfgen.CfRequest(x=x, mutable_mask=np.ones(test.p, dtype=bool), bounds=bounds)
+        if cell.method == cfgen.WHATIF:
+            cfs = cfgen.whatif(req, model, train, k=config.whatif_k)
+        else:
+            reward = cfgen.SPARSITY if cell.method == cfgen.NICE_SP else cfgen.PROXIMITY
+            cfs = [cfgen.nice(req, model, train, reward)]
+        for cf in cfs:
+            values.append(cf.values.tolist())
+            changed = np.flatnonzero(cf.values != x)
+            minimality = 0
+            for j in changed:
+                probe = cf.values.copy()
+                probe[j] = x[j]
+                minimality += int(model.predict_proba(probe) < 0.5)
+            records.append(QualityRecord(
+                request_id=int(row), cell=cell,
+                validity=int(model.predict_proba(cf.values) < 0.5),
+                proximity=gower(x, cf.values, ranges), sparsity=int(changed.size),
+                minimality=minimality,
+                plausibility=float(gower_many(train.features, cf.values, ranges).min()),
+            ))
+    return records, values
+
+
+class TestHoisting:
+    """A whatif or nice cell predicts its pool once, scoring makes one model
+    call per counterfactual, and the records equal the one-at-a-time reference."""
+
+    @pytest.mark.parametrize("method", ["whatif", "nice_sp", "nice_pr"])
+    def test_one_pool_call_per_cell(self, frame_csv, tmp_path, monkeypatch, method):
+        config = tiny_config(frame_csv, tmp_path / "out", n_trees=8, max_explained_instances=4)
+        pipe = Pipeline.open(config)
+        cell = Cell("oversampling", "vanilla", method)
+        train, weights = prepare_training(config, pipe.split.train, cell.balancing)
+        model, _ = fit_block(config, train, weights, cell.balancing, cell.tuning)
+        fail_rows = fail_predicted_rows(model, pipe.split.test, 4)
+        assert len(fail_rows) > 1 and train.n > 1 + train.p  # a score call is never pool-sized
+        expected, values = one_at_a_time(config, cell, model, train, pipe.split.test,
+                                         pipe.bounds, fail_rows)
+
+        calls = count_predict_calls(monkeypatch)
+        records, items = generate_for_cell(config, cell, model, train, pipe.split.test,
+                                           pipe.bounds, fail_rows)
+        assert calls.count(train.n) == 1
+        assert records == expected
+        assert [cf.values.tolist() for _, cf, _ in items] == values
+        if method == "whatif":  # the pool call, then one call per counterfactual
+            assert calls == [train.n] + [1 + r.sparsity for r in records]

@@ -11,11 +11,14 @@ from cfbench.cfeval import (
     write_cell_summaries,
     write_quality_records,
 )
+from cfbench.balance import ClassWeights
 from cfbench.cfgen import SPARSITY, CfRequest, Counterfactual, nice, whatif
 from cfbench.dataset import FAIL, PASS, LabeledDataset
 from cfbench.distance import RangeTable
+from cfbench.forest import Hyperparams, RandomForestModel, fit_forest
 
 from conftest import StubModel
+from synth import make_blobs
 
 
 def dataset(rows, labels):
@@ -91,6 +94,34 @@ class TestScore:
         cf = nice(self.req, self.model, self.train, SPARSITY)
         rec = score(self.x, cf, self.model, self.train, self.ranges)
         assert rec.validity == 1
+
+    def test_one_forest_call_per_counterfactual(self, monkeypatch):
+        """Validity and minimality come from one batch: the same as single-row calls."""
+        train = make_blobs(n=80, p=4, seed=3, separation=0.7)
+        model = fit_forest(train, Hyperparams(2, "gini", 1, n_trees=9), ClassWeights.unit(), 1)
+        ranges = RangeTable.from_dataset(train)
+        rng = np.random.default_rng(5)
+        x = train.features[0]
+        req = CfRequest.for_instance(x, train)
+        cands = [x, *np.where(rng.random((30, 4)) < 0.5, rng.normal(size=(30, 4)), x)]
+        single = []
+        for cand in cands:
+            reverted = [model.predict_proba(np.where(np.arange(4) == j, x, cand)) < 0.5
+                        for j in np.flatnonzero(cand != x)]
+            single.append((int(model.predict_proba(cand) < 0.5), int(sum(reverted))))
+        calls = []
+        original = RandomForestModel.predict_proba_batch
+
+        def counting(self, X):
+            calls.append(len(X))
+            return original(self, X)
+
+        monkeypatch.setattr(RandomForestModel, "predict_proba_batch", counting)
+        for cand, (validity, minimality) in zip(cands, single):
+            rec = score(x, make_cf(cand, req), model, train, ranges)
+            assert (rec.validity, rec.minimality) == (validity, minimality)
+        assert calls == [1 + int((cand != x).sum()) for cand in cands]
+        assert {v for v, _ in single} == {0, 1}
 
     def test_invariant_enforced(self):
         with pytest.raises(ValueError, match="minimality"):

@@ -303,6 +303,21 @@ class TestMoc:
             assert cf.values[1] == 1.5  # immutable feature untouched
             assert req.bounds[0, 0] <= cf.values[0] <= req.bounds[0, 1]
 
+    def test_out_of_range_immutable_feature_kept(self):
+        """x_1 lies above the training max; only copied or mutated features are clipped."""
+        model = StubModel(lambda r: 1.0 if r[0] < 10 else 0.0, p=2)
+        rng = np.random.default_rng(4)
+        rows = np.column_stack([rng.uniform(0, 20, 30), rng.uniform(-5, 5, 30)])
+        train = LabeledDataset.from_arrays(rows, [PASS if r[0] >= 10 else FAIL for r in rows])
+        x = np.array([0.0, 25.0])
+        req = CfRequest.for_instance(x, train, mutable=np.array([True, False]))
+        assert x[1] > req.bounds[1, 1]
+        out = moc(req, model, train, MocConfig(population=40, generations=20, seed=3))
+        assert out
+        for cf in out:
+            assert cf.values[1] == 25.0
+            assert req.bounds[0, 0] <= cf.values[0] <= req.bounds[0, 1]
+
     def test_empty_result_is_legal(self):
         # nothing in range can flip the prediction: bounds cap at 5 < 10
         model = StubModel(lambda r: 1.0 if r[0] < 10 else 0.0, p=1)

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from cfbench import forest
@@ -122,6 +124,33 @@ min_node_size = 1
     assert capsys.readouterr().out == fresh_lines
     assert {p.name: p.read_bytes() for p in (tmp_path / "out" / "models").iterdir()} == models
     assert not list(tmp_path.rglob("*.tmp"))
+
+
+def test_explain_twice_fits_once(tmp_path, config_file, capsys, monkeypatch):
+    """A fresh explain records its block in the manifest; the next one loads it."""
+    fits = []
+    original = forest.fit_forest
+
+    def counting(*args, **kwargs):
+        fits.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(forest, "fit_forest", counting)
+    explain = ["explain", "--config", str(config_file), "--cell", "undersampling:vanilla:whatif"]
+    assert main(explain) == 0
+    first = capsys.readouterr().out
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["blocks"]["undersampling:vanilla"]["status"] == "done"
+    assert len(fits) == 1
+    assert main(explain) == 0
+    assert capsys.readouterr().out == first
+    assert len(fits) == 1
+    assert main(["train", "--config", str(config_file), "--cell", "undersampling:vanilla"]) == 0
+    assert "model loaded from" in capsys.readouterr().out
+    assert main(["train", "--config", str(config_file), "--cell", "original:vanilla"]) == 0
+    assert len(fits) == 2
+    blocks = json.loads((tmp_path / "out" / "manifest.json").read_text())["blocks"]
+    assert sorted(blocks) == ["original:vanilla", "undersampling:vanilla"]
 
 
 def test_bad_cell_rejected(config_file):

@@ -218,6 +218,71 @@ class TestPredict:
         assert ((proba >= 0.0) & (proba <= 1.0)).all()
 
 
+def oracle_proba(model, X):
+    """One tree and one row at a time, leaf probabilities summed in tree order."""
+    out = []
+    for row in np.atleast_2d(X):
+        total = 0.0
+        for tree in model.trees:
+            i = 0
+            while tree.feature[i] >= 0:
+                i = tree.left[i] if row[tree.feature[i]] <= tree.threshold[i] else tree.right[i]
+            total += tree.p_fail[i]
+        out.append(total / model.n_trees)
+    return np.array(out)
+
+
+class TestNodeTable:
+    """The one traversal over all trees against a per-tree, per-row walk."""
+
+    def forests(self, tmp_path):
+        ds = make_blobs(n=90, p=5, seed=41, separation=0.8)
+        weighted = cost_weights(ds)
+        models = {
+            f"{rule}-{'weighted' if w is weighted else 'unit'}":
+                fit_forest(ds, Hyperparams(3, rule, 4, n_trees=40), w, seed=6)
+            for rule in ("gini", "extratrees") for w in (ClassWeights.unit(), weighted)
+        }
+        save_model(models["gini-weighted"], tmp_path / "m.forest")
+        models["loaded"] = load_model(tmp_path / "m.forest")
+        # (0.1 + 0.2) + 0.3 != (0.3 + 0.2) + 0.1: the summation order shows
+        models["single-leaf"] = RandomForestModel(
+            (leaf_tree(0.1), leaf_tree(0.2), leaf_tree(0.3)), ClassWeights.unit(), 0, p=5)
+        probe = np.vstack([ds.features, np.random.default_rng(2).normal(size=(40, 5)) * 3])
+        return models, probe
+
+    def test_matches_oracle_bit_for_bit(self, tmp_path):
+        models, probe = self.forests(tmp_path)
+        for name, model in models.items():
+            np.testing.assert_array_equal(model.predict_proba_batch(probe),
+                                          oracle_proba(model, probe), err_msg=name)
+
+    def test_per_tree_matrix(self, tmp_path):
+        models, probe = self.forests(tmp_path)
+        for name, model in models.items():
+            per_tree = model.predict_proba_trees(probe)
+            assert per_tree.shape == (model.n_trees, probe.shape[0])
+            for t, tree in enumerate(model.trees):
+                one = RandomForestModel((tree,), ClassWeights.unit(), 0, p=model.p)
+                np.testing.assert_array_equal(per_tree[t], oracle_proba(one, probe),
+                                              err_msg=name)
+
+    def test_rows_are_independent(self, tmp_path):
+        models, probe = self.forests(tmp_path)
+        for name, model in models.items():
+            batch = model.predict_proba_batch(probe)
+            for i in range(probe.shape[0]):
+                assert model.predict_proba_batch(probe[i:i + 1])[0] == batch[i], name
+                assert model.predict_proba(probe[i]) == batch[i], name
+
+    def test_table_is_read_only(self):
+        ds = make_blobs(n=40, p=3, seed=43)
+        model = fit_forest(ds, Hyperparams(2, "gini", 1, n_trees=3), ClassWeights.unit(), seed=0)
+        with pytest.raises(ValueError):
+            model.table.threshold[0] = 0.0
+        assert model.table.roots.size == 3
+
+
 class TestAuc:
     def test_hand_example(self):
         # fail scores 0.9, 0.4; pass scores 0.6, 0.1 -> wins 3 of 4 pairs
