@@ -9,7 +9,7 @@ from .balance import (
     random_undersample,
     smote,
 )
-from .bench import ExperimentConfig, RunManifest, parse_config, run, seed_for
+from .bench import ExperimentConfig, RunManifest, parse_config, run
 from .cfeval import Cell, CellSummary, QualityRecord, aggregate, score
 from .cfgen import (
     CfRequest,
@@ -44,6 +44,7 @@ from .forest import (
     save_model,
     tune,
 )
+from .rng import seed_for
 
 __version__ = "0.1.0"
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import FAIL, PASS, LabeledDataset
+from .rng import spawn_rng
 
 DEFAULT_SMOTE_K = 5
 
@@ -56,7 +57,7 @@ def random_undersample(train: LabeledDataset, seed: int) -> LabeledDataset:
     maj, _, n_maj, n_min = _class_split(train)
     if n_maj == n_min:
         return train.subset(np.arange(train.n))
-    rng = np.random.default_rng(seed)
+    rng = spawn_rng(seed)
     maj_idx = train.indices_of(maj)
     keep = rng.choice(maj_idx, size=n_min, replace=False)
     mask = np.zeros(train.n, dtype=bool)
@@ -70,7 +71,7 @@ def random_oversample(train: LabeledDataset, seed: int) -> LabeledDataset:
     _, mino, n_maj, n_min = _class_split(train)
     if n_maj == n_min:
         return train.subset(np.arange(train.n))
-    rng = np.random.default_rng(seed)
+    rng = spawn_rng(seed)
     extra = rng.choice(train.indices_of(mino), size=n_maj - n_min, replace=True)
     features = np.vstack([train.features, train.features[extra]])
     labels = np.concatenate([train.labels, train.labels[extra]])
@@ -94,7 +95,7 @@ def smote(train: LabeledDataset, k: int = DEFAULT_SMOTE_K, seed: int = 0) -> Lab
     if n_maj == n_min:
         return train.subset(np.arange(train.n))
 
-    rng = np.random.default_rng(seed)
+    rng = spawn_rng(seed)
     mino_rows = train.features[train.indices_of(mino)]
 
     # k nearest minority neighbors per minority row, self excluded,

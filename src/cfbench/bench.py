@@ -12,13 +12,13 @@ budget. All randomness derives from the master seed through `seed_for`, so any
 cell is independently reproducible and two identical runs emit byte-identical
 CSV outputs.
 
-`Pipeline` holds the two steps of the grid. Its block step loads or fits one
-(balancing, tuning) forest and writes ``models/``; its cell step resumes or
-generates one (balancing, tuning, method) cell and writes ``cells/``. `run`
-drives both over the grid; the CLI's ``train`` and ``explain`` use the same
-block step, so they reuse a forest that an earlier ``run``, ``train`` or
-``explain`` fit into the same output directory under the same config hash.
-Every artifact reaches disk through `_atomic_write`.
+`Pipeline` holds the two steps of the grid and the output directory's one
+`RunManifest`, into which each step records its entry. Its block step loads or
+fits one (balancing, tuning) forest and writes ``models/``; its cell step
+resumes or generates one cell and writes ``cells/``. `run`, its ``--cell``
+shards and the CLI's ``train`` and ``explain`` all go through these steps, so
+each resumes what an earlier one left in the same output directory under the
+same config hash. Every artifact reaches disk through `_atomic_write`.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .cfeval import Cell
 from .dataset import (FRAME_COLUMNS, ID_COLUMN, LabeledDataset, SplitResult, ingest_oulad,
                       load_csv, stratified_split)
 from .distance import RangeTable
+from .rng import seed_for
 
 logger = logging.getLogger(__name__)
 
@@ -56,13 +57,9 @@ TUNING_ALL = (VANILLA, TUNED)
 
 GLOBAL_CELL = Cell("-", "-", "-")
 
-
-def seed_for(master_seed: int, cell, stage: str) -> int:
-    """Derive a stage seed: sha256 over "master|balancing|tuning|method|stage",
-    first 8 big-endian bytes reduced modulo 2**63."""
-    b, t, m = cell
-    key = f"{int(master_seed)}|{b}|{t}|{m}|{stage}".encode()
-    return int.from_bytes(hashlib.sha256(key).digest()[:8], "big") % (1 << 63)
+# No output file depends on where it is written or on which cells an
+# invocation selects, so these fields stay out of the config hash.
+_UNHASHED = ("output_dir", "balancing", "tuning", "methods")
 
 
 @dataclass(frozen=True)
@@ -150,6 +147,8 @@ class ExperimentConfig:
     def canonical(self) -> str:
         lines = []
         for f in sorted(fields(self), key=lambda f: f.name):
+            if f.name in _UNHASHED:
+                continue
             value = getattr(self, f.name)
             if isinstance(value, tuple):
                 value = ",".join(str(v) for v in value)
@@ -327,8 +326,7 @@ def generate_for_cell(config: ExperimentConfig, cell: Cell, model, method_train:
         else:
             raise ValueError(f"unknown method {cell.method!r}")
         for cf in cfs:
-            record = cfeval.score(x, cf, model, method_train, ranges,
-                                  cell=cell, request_id=int(row))
+            record = cfeval.score(x, cf, model, method_train, ranges, cell)
             records.append(record)
             items.append((int(row), cf, record.validity == 1))
     return records, items
@@ -345,16 +343,18 @@ def fail_predicted_rows(model, test: LabeledDataset, cap: int | None) -> list[in
 class Pipeline:
     """The block and cell steps of one run over one output directory.
 
-    ``previous`` is the manifest an earlier run left in ``out`` under the same
-    config hash (empty if none); a block or cell it marks ``done`` is resumed
-    from its files. ``bounds`` are the original training-split feature
+    ``manifest`` is the directory's one manifest: the one an earlier
+    invocation left in ``out`` under the same config hash, else a new one,
+    which replaces the old file when it is first saved. Each step writes its
+    own entry into it, done or failed, and resumes a block or cell it marks
+    done from its files. ``bounds`` are the original training-split feature
     ranges, shared by every cell so that distances stay comparable across
     balancing strategies.
     """
 
     config: ExperimentConfig
     out: Path
-    previous: RunManifest
+    manifest: RunManifest
     split: SplitResult
     bounds: np.ndarray
 
@@ -363,91 +363,93 @@ class Pipeline:
         """Read the resumable manifest of ``config.output_dir`` and make the run's one split."""
         out = Path(config.output_dir)
         manifest_path = out / "manifest.json"
-        previous = RunManifest(config_hash=config.config_hash())
+        manifest = RunManifest(config_hash=config.config_hash())
         if manifest_path.exists():
             try:
                 candidate = RunManifest.load(manifest_path)
-                if candidate.config_hash == previous.config_hash:
-                    previous = candidate
+                if candidate.config_hash == manifest.config_hash:
+                    manifest = candidate
             except (ValueError, KeyError, json.JSONDecodeError):
                 logger.warning("ignoring unreadable manifest at %s", manifest_path)
         data = load_data(config)
         split = stratified_split(data, config.test_fraction,
                                  seed_for(config.master_seed, GLOBAL_CELL, "split"))
         bounds = np.array([[s.min_value, s.max_value] for s in split.train.specs])
-        return cls(config, out, previous, split, bounds)
+        return cls(config, out, manifest, split, bounds)
 
-    def block(self, balancing: str, tuning: str, method_train: LabeledDataset,
-              weights: balance.ClassWeights):
-        """The block's forest, its meta (hyperparameters and test metrics) and
-        its manifest entry.
+    def save_manifest(self) -> None:
+        self.manifest.save(self.out / "manifest.json")
 
-        The forest is loaded when the previous manifest marks the block done
-        and both ``models/`` files exist. Otherwise it is fit (and tuned),
-        evaluated and saved with its meta; ``seconds`` cover exactly that.
+    def block(self, balancing: str, tuning: str):
+        """The block's training set, forest, meta (hyperparameters and test
+        metrics) and manifest entry.
+
+        The forest is loaded when the manifest marks the block done and both
+        ``models/`` files exist. Otherwise it is fit (and tuned), evaluated and
+        saved with its meta, and then the manifest is saved; ``seconds`` cover
+        the fit through the meta write. A failure is recorded and re-raised.
         """
+        key = f"{balancing}:{tuning}"
         model_path = self.out / "models" / f"{balancing}_{tuning}.forest"
         meta_path = model_path.with_suffix(".json")
-        prev = self.previous.blocks.get(f"{balancing}:{tuning}", {})
-        if prev.get("status") == "done" and model_path.exists() and meta_path.exists():
-            model = forest.load_model(model_path)
-            meta = json.loads(meta_path.read_text())
-            return model, meta, {**prev, "status": "done", "resumed": True}
-        model_path.parent.mkdir(parents=True, exist_ok=True)
-        t0 = time.perf_counter()
-        model, hp = fit_block(self.config, method_train, weights, balancing, tuning)
-        metrics = forest.evaluate(model, self.split.test)
-        meta = {
-            "hyperparams": {"mtry": hp.mtry, "splitrule": hp.splitrule,
-                            "min_node_size": hp.min_node_size, "n_trees": hp.n_trees},
-            "metrics": {"accuracy": metrics.accuracy, "auc": metrics.auc, "f1": metrics.f1},
-        }
-        _atomic_write(model_path, lambda p: forest.save_model(model, p))
-        _atomic_write(meta_path, lambda p: _write_json(p, meta))
-        entry = {"status": "done", "seconds": round(time.perf_counter() - t0, 3),
-                 "model_file": str(model_path), **meta}
-        return model, meta, entry
-
-    def record_block(self, balancing: str, tuning: str, entry: dict) -> None:
-        """Write a freshly fit block's entry into ``manifest.json``, so that the
-        next block step on this output directory and config loads the forest.
-
-        The entry is merged into the previous manifest. A manifest of another
-        config hash is replaced: this block has just overwritten its models.
-        """
-        self.previous.blocks[f"{balancing}:{tuning}"] = entry
-        self.previous.save(self.out / "manifest.json")
+        prev = self.manifest.blocks.get(key, {})
+        try:
+            method_train, weights = prepare_training(self.config, self.split.train, balancing)
+            if prev.get("status") == "done" and model_path.exists() and meta_path.exists():
+                model = forest.load_model(model_path)
+                meta = json.loads(meta_path.read_text())
+                entry = self.manifest.blocks[key] = {**prev, "status": "done", "resumed": True}
+                return method_train, model, meta, entry
+            model_path.parent.mkdir(parents=True, exist_ok=True)
+            t0 = time.perf_counter()
+            model, hp = fit_block(self.config, method_train, weights, balancing, tuning)
+            metrics = forest.evaluate(model, self.split.test)
+            meta = {
+                "hyperparams": {"mtry": hp.mtry, "splitrule": hp.splitrule,
+                                "min_node_size": hp.min_node_size, "n_trees": hp.n_trees},
+                "metrics": {"accuracy": metrics.accuracy, "auc": metrics.auc, "f1": metrics.f1},
+            }
+            _atomic_write(model_path, lambda p: forest.save_model(model, p))
+            _atomic_write(meta_path, lambda p: _write_json(p, meta))
+        except Exception as exc:
+            self.manifest.blocks[key] = {"status": "failed", "error": str(exc)}
+            raise
+        entry = self.manifest.blocks[key] = {
+            "status": "done", "seconds": round(time.perf_counter() - t0, 3),
+            "model_file": str(model_path), **meta}
+        self.save_manifest()
+        return method_train, model, meta, entry
 
     def cell(self, cell: Cell, model, method_train: LabeledDataset, fail_rows):
-        """The cell's quality records (None if generation failed) and its
-        manifest entry.
+        """The cell's quality records, or None if generation failed.
 
-        A cell the previous manifest marks done, with its three ``cells/``
-        files, is read back. Otherwise it is generated and the three files are
-        written; ``seconds`` cover exactly that.
+        A cell the manifest marks done, with its three ``cells/`` files, is
+        read back. Otherwise it is generated and the three files are written;
+        ``seconds`` cover exactly that.
         """
-        stem = "_".join(cell)
+        key, stem = cell.key(), "_".join(cell)
         cell_file = self.out / "cells" / f"{stem}.csv"
         cfs_file = self.out / "cells" / f"{stem}.cfs.csv"
         meta_file = self.out / "cells" / f"{stem}.meta.jsonl"
-        prev = self.previous.cells.get(cell.key(), {})
+        prev = self.manifest.cells.get(key, {})
         if prev.get("status") == "done" and cell_file.exists() \
                 and cfs_file.exists() and meta_file.exists():
-            records = cfeval.read_quality_records(cell_file)
-            return records, {**prev, "status": "done", "resumed": True}
+            self.manifest.cells[key] = {**prev, "status": "done", "resumed": True}
+            return cfeval.read_quality_records(cell_file)
         t0 = time.perf_counter()
         try:
             records, items = generate_for_cell(self.config, cell, model, method_train,
                                                self.split.test, self.bounds, fail_rows)
         except Exception as exc:  # noqa: BLE001 - a failing cell must not kill the run
-            logger.exception("cell %s failed", cell.key())
-            return None, {"status": "failed", "error": str(exc)}
+            logger.exception("cell %s failed", key)
+            self.manifest.cells[key] = {"status": "failed", "error": str(exc)}
+            return None
         _atomic_write(cell_file, lambda p: cfeval.write_quality_records(p, records))
         names = self.split.test.feature_names
         # the counterfactual CSV is renamed into place before its metadata stream
         _atomic_write(meta_file, lambda meta_tmp: _atomic_write(
             cfs_file, lambda cfs_tmp: cfgen.write_counterfactuals(cfs_tmp, meta_tmp, names, items)))
-        return records, {
+        self.manifest.cells[key] = {
             "status": "done",
             "requests": len(fail_rows),
             "count": len(records),
@@ -456,6 +458,7 @@ class Pipeline:
             "meta_file": str(meta_file),
             "seconds": round(time.perf_counter() - t0, 3),
         }
+        return records
 
 
 def run(config: ExperimentConfig) -> RunManifest:
@@ -463,47 +466,40 @@ def run(config: ExperimentConfig) -> RunManifest:
 
     One failing cell is recorded in the manifest and does not abort the rest;
     a failing block fails each of its cells. Completed blocks and cells
-    (manifest entry plus artifact files) are resumed on rerun.
+    (manifest entry plus artifact files) are resumed on rerun, also when an
+    earlier invocation ran them as ``run --cell`` shards. The aggregate files
+    cover the configured cells; the returned manifest holds every entry of the
+    output directory.
     """
     pipe = Pipeline.open(config)
     (pipe.out / "cells").mkdir(parents=True, exist_ok=True)
-    manifest_path = pipe.out / "manifest.json"
-    manifest = RunManifest(config_hash=config.config_hash())
-
     records_per_cell: dict[Cell, list[cfeval.QualityRecord]] = {}
     perf_rows = []
     for balancing in config.balancing:
-        method_train = weights = None
         for tuning in config.tuning:
-            block_key = f"{balancing}:{tuning}"
             try:
-                if method_train is None:
-                    method_train, weights = prepare_training(config, pipe.split.train, balancing)
-                model, meta, entry = pipe.block(balancing, tuning, method_train, weights)
-                manifest.blocks[block_key] = entry
+                method_train, model, meta, _ = pipe.block(balancing, tuning)
                 perf_rows.append((balancing, tuning, meta["metrics"]))
                 fail_rows = fail_predicted_rows(model, pipe.split.test,
                                                 config.max_explained_instances)
                 block_error = None
             except Exception as exc:  # noqa: BLE001 - a failing block must not kill the run
-                logger.exception("block %s failed", block_key)
-                manifest.blocks[block_key] = {"status": "failed", "error": str(exc)}
+                logger.exception("block %s:%s failed", balancing, tuning)
                 block_error = exc
             for method in config.methods:
                 cell = Cell(balancing, tuning, method)
-                if block_error is not None:
-                    records, entry = None, {"status": "failed",
-                                            "error": f"block failed: {block_error}"}
+                if block_error is None:
+                    records = pipe.cell(cell, model, method_train, fail_rows)
+                    if records is not None:
+                        records_per_cell[cell] = records
                 else:
-                    records, entry = pipe.cell(cell, model, method_train, fail_rows)
-                manifest.cells[cell.key()] = entry
-                if records is not None:
-                    records_per_cell[cell] = records
-                manifest.save(manifest_path)
+                    pipe.manifest.cells[cell.key()] = {"status": "failed",
+                                                       "error": f"block failed: {block_error}"}
+                pipe.save_manifest()
 
-    _write_outputs(config, pipe.out, perf_rows, records_per_cell, manifest)
-    manifest.save(manifest_path)
-    return manifest
+    _write_outputs(config, pipe.out, perf_rows, records_per_cell, pipe.manifest)
+    pipe.save_manifest()
+    return pipe.manifest
 
 
 def _atomic_write(path: Path, writer) -> None:

@@ -72,9 +72,9 @@ class CellSummary:
     stats: dict[str, MetricStats]
 
 
-def score(x, cf: Counterfactual, model, train, ranges: RangeTable,
-          cell: Cell | None = None, request_id=None) -> QualityRecord:
-    """Score one counterfactual against its source instance."""
+def score(x, cf: Counterfactual, model, train, ranges: RangeTable, cell: Cell) -> QualityRecord:
+    """Score one counterfactual of ``cell`` against its source instance; the
+    record takes the request id of the counterfactual's request."""
     x = np.asarray(x, dtype=np.float64)
     values = cf.values
     if x.shape != values.shape:
@@ -86,12 +86,8 @@ def score(x, cf: Counterfactual, model, train, ranges: RangeTable,
     passes = model.predict_proba_batch(rows) < 0.5
     validity = int(passes[0])
     minimality = int(passes[1:].sum())
-    if cell is None:
-        cell = Cell("-", "-", cf.method)
-    if request_id is None:
-        request_id = cf.source_request.request_id
     return QualityRecord(
-        request_id=request_id,
+        request_id=cf.source_request.request_id,
         cell=cell,
         validity=validity,
         proximity=gower(x, values, ranges),

@@ -53,7 +53,6 @@ class CfRequest:
     x: np.ndarray
     mutable_mask: np.ndarray
     bounds: np.ndarray
-    desired: str = PASS
     request_id: int | str | None = None
 
     def __post_init__(self):
@@ -68,8 +67,6 @@ class CfRequest:
             raise ValueError("at least one feature must be mutable")
         if bounds.shape != (x.size, 2) or (bounds[:, 0] > bounds[:, 1]).any():
             raise ValueError("bounds must be a (p, 2) array of lo <= hi pairs")
-        if self.desired != PASS:
-            raise ValueError("only the pass outcome is supported as the desired label")
         for arr in (x, mask, bounds):
             arr.setflags(write=False)
         object.__setattr__(self, "x", x)
@@ -216,15 +213,16 @@ def nice(req: CfRequest, model, train: LabeledDataset, reward: str,
     widths = rt.widths
     n_active = int(rt.active.sum())
     c = req.x.copy()
-    p_c = model.predict_proba(c)
     copied: list[int] = []
     while True:
         cand_feats = np.flatnonzero(req.mutable_mask & (c != z))
         if cand_feats.size == 0:
             raise ValueError("greedy search exhausted mutable features without flipping the prediction")
-        cands = np.repeat(c[None, :], cand_feats.size, axis=0)
-        cands[np.arange(cand_feats.size), cand_feats] = z[cand_feats]
-        p_new = model.predict_proba_batch(cands)
+        # one model call per step: row 0 is c, row 1 + i copies z[cand_feats[i]]
+        cands = np.repeat(c[None, :], 1 + cand_feats.size, axis=0)
+        cands[1 + np.arange(cand_feats.size), cand_feats] = z[cand_feats]
+        p_step = model.predict_proba_batch(cands)
+        p_c, p_new = p_step[0], p_step[1:]
         gain = p_c - p_new  # increase in p(pass)
         if reward == SPARSITY:
             score = gain
@@ -236,9 +234,8 @@ def nice(req: CfRequest, model, train: LabeledDataset, reward: str,
         best = int(np.argmax(score))  # first maximum: lowest feature index wins ties
         j = int(cand_feats[best])
         c[j] = z[j]
-        p_c = float(p_new[best])
         copied.append(j)
-        if p_c < 0.5:
+        if p_new[best] < 0.5:
             break
     return Counterfactual(
         values=c,
@@ -286,14 +283,13 @@ def _crowding_distance(obj: np.ndarray, front: np.ndarray) -> np.ndarray:
     return dist
 
 
-def _select(obj: np.ndarray, target: int, rows: np.ndarray | None = None,
-            ranges: RangeTable | None = None) -> np.ndarray:
+def _select(obj: np.ndarray, target: int, rows: np.ndarray, ranges: RangeTable) -> np.ndarray:
     """Environmental selection: fill by fronts, truncate by crowding distance.
 
-    When candidate rows are provided, the truncation crowding score also
-    rewards feature-space diversity (mean Gower distance to the two nearest
-    members of the front), which keeps the population from collapsing onto
-    one corner of the objective space.
+    The truncation crowding score also rewards feature-space diversity of the
+    candidate ``rows`` (mean Gower distance to the two nearest members of the
+    front), which keeps the population from collapsing onto one corner of the
+    objective space.
     """
     keep: list[int] = []
     for front in _fast_nondominated_sort(obj):
@@ -301,7 +297,7 @@ def _select(obj: np.ndarray, target: int, rows: np.ndarray | None = None,
             keep.extend(front.tolist())
         else:
             cd = _crowding_distance(obj, front)
-            if rows is not None and front.size > 3:
+            if front.size > 3:
                 d = gower_cross(rows[front], rows[front], ranges)
                 np.fill_diagonal(d, np.inf)
                 diversity = np.sort(d, axis=1)[:, :2].mean(axis=1)
@@ -386,7 +382,7 @@ def moc(req: CfRequest, model, train: LabeledDataset, cfg: MocConfig) -> list[Co
         obj_c = evaluate(children, gen=gen)
         all_pop = np.vstack([population, children])
         all_obj = np.vstack([obj, obj_c])
-        keep = _select(all_obj, pop, rows=all_pop, ranges=rt)
+        keep = _select(all_obj, pop, all_pop, rt)
         population, obj = all_pop[keep], all_obj[keep]
 
     if not archive_rows:

@@ -8,7 +8,8 @@ and test metrics), ``explain`` (one instance, one method, printed diff),
 ``run`` does: they reuse a forest in the output directory when its manifest
 has the same config hash and marks the block done, and otherwise fit it, write
 the same ``models/`` files that ``run`` writes and record the block in the
-manifest.
+manifest. ``run --cell`` shards into one output directory share its manifest
+the same way.
 """
 
 from __future__ import annotations
@@ -64,21 +65,10 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def _block(config, cell):
-    """The run's pipeline, the block's training set, and its forest, meta and
-    entry. A freshly fit block is recorded in the manifest."""
-    pipe = bench.Pipeline.open(config)
-    method_train, weights = bench.prepare_training(config, pipe.split.train, cell.balancing)
-    model, meta, entry = pipe.block(cell.balancing, cell.tuning, method_train, weights)
-    if not entry.get("resumed"):
-        pipe.record_block(cell.balancing, cell.tuning, entry)
-    return pipe, method_train, model, meta, entry
-
-
 def cmd_train(args) -> int:
     config = _load_config(args)
     cell = _parse_cell(args.cell, want_method=False)
-    _, _, _, meta, entry = _block(config, cell)
+    _, _, meta, entry = bench.Pipeline.open(config).block(cell.balancing, cell.tuning)
     hp, metrics = meta["hyperparams"], meta["metrics"]
     print(f"cell {cell.balancing}:{cell.tuning}")
     print(f"hyperparams: mtry={hp['mtry']} splitrule={hp['splitrule']} "
@@ -91,7 +81,8 @@ def cmd_train(args) -> int:
 def cmd_explain(args) -> int:
     config = _load_config(args)
     cell = _parse_cell(args.cell, want_method=True)
-    pipe, method_train, model, _, _ = _block(config, cell)
+    pipe = bench.Pipeline.open(config)
+    method_train, model, _, _ = pipe.block(cell.balancing, cell.tuning)
     split = pipe.split
     fail_rows = bench.fail_predicted_rows(model, split.test, config.max_explained_instances)
     if not fail_rows:
@@ -127,10 +118,12 @@ def cmd_run(args) -> int:
         config = replace(config, balancing=(cell.balancing,), tuning=(cell.tuning,),
                          methods=(cell.method,))
     manifest = bench.run(config)
-    done = manifest.completed_cells()
-    total = len(manifest.cells)
-    print(f"run complete: {done}/{total} cells done; outputs in {config.output_dir}")
-    failed = [k for k, v in manifest.cells.items() if v.get("status") != "done"]
+    # the manifest also holds the cells of earlier shards; report this invocation's
+    own = [Cell(b, t, m).key() for b in config.balancing for t in config.tuning
+           for m in config.methods]
+    failed = [k for k in own if manifest.cells[k].get("status") != "done"]
+    print(f"run complete: {len(own) - len(failed)}/{len(own)} cells done; "
+          f"outputs in {config.output_dir}")
     for key in failed:
         print(f"  FAILED {key}: {manifest.cells[key].get('error', 'unknown error')}")
     return 0 if not failed else 1
@@ -140,7 +133,8 @@ def cmd_report(args) -> int:
     out = Path(args.out)
     records = cfeval.read_quality_records(out / "quality_records.csv")
     summaries = cfeval.aggregate(records)
-    cfeval.write_cell_summaries(out / "cell_summaries.csv", summaries)
+    bench._atomic_write(out / "cell_summaries.csv",
+                        lambda p: cfeval.write_cell_summaries(p, summaries))
     print(f"re-aggregated {len(records)} records into {len(summaries)} cell summaries")
     return 0
 

@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .rng import spawn_rng
+
 logger = logging.getLogger(__name__)
 
 FAIL = "fail"
@@ -51,10 +53,6 @@ class FeatureSpec:
     def __post_init__(self):
         if self.min_value > self.max_value:
             raise ValueError(f"feature {self.name!r}: min {self.min_value} > max {self.max_value}")
-
-    @property
-    def width(self) -> float:
-        return self.max_value - self.min_value
 
 
 @dataclass(frozen=True)
@@ -346,7 +344,7 @@ def stratified_split(data: LabeledDataset, test_fraction: float, seed: int) -> S
     for lab, c in counts.items():
         if c < 2:
             raise ValueError(f"class {lab!r} has {c} member(s); need at least 2 to split")
-    rng = np.random.default_rng(seed)
+    rng = spawn_rng(seed)
     test_idx = []
     for lab in LABELS:
         members = data.indices_of(lab)

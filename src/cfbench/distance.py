@@ -35,10 +35,6 @@ class RangeTable:
         object.__setattr__(self, "widths", w)
 
     @classmethod
-    def from_dataset(cls, data) -> "RangeTable":
-        return cls(np.array([s.width for s in data.specs]))
-
-    @classmethod
     def from_bounds(cls, bounds) -> "RangeTable":
         b = np.asarray(bounds, dtype=np.float64)
         return cls(b[:, 1] - b[:, 0])

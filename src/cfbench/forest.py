@@ -23,7 +23,7 @@ import numpy as np
 
 from .balance import ClassWeights
 from .dataset import FAIL, LabeledDataset
-from .rng import derive_seed, seed_entropy
+from .rng import derive_seed, spawn_rng, stream_rngs
 
 GINI = "gini"
 EXTRATREES = "extratrees"
@@ -315,11 +315,9 @@ def _grow_tree(X, y, w, hp: Hyperparams, rng) -> Tree:
 
 def _fit_trees(X, y01, hp, seed, row_weight, weighted_split, bootstrap_p, keep_inbag):
     n = X.shape[0]
-    streams = np.random.SeedSequence(seed_entropy(seed)[0]).spawn(hp.n_trees)
     trees = []
     inbag = np.zeros((hp.n_trees, n), dtype=np.uint16) if keep_inbag else None
-    for t, stream in enumerate(streams):
-        rng = np.random.default_rng(stream)
+    for t, rng in enumerate(stream_rngs(seed, hp.n_trees)):
         if bootstrap_p is None:
             idxb = rng.choice(n, size=n, replace=True)
         else:
@@ -416,7 +414,7 @@ def tune(train: LabeledDataset, grid, cv: CvSpec, weights: ClassWeights) -> Hype
             )
     totals = np.zeros(len(grid))
     for r in range(cv.repeats):
-        rng = np.random.default_rng(np.random.SeedSequence(seed_entropy(cv.seed, r)))
+        rng = spawn_rng(cv.seed, r)
         assign = np.empty(train.n, dtype=np.int64)
         for lab in counts:
             members = train.indices_of(lab)

@@ -104,8 +104,13 @@ class TestConfig:
         a = tiny_config(frame_csv, Path("out"))
         b = tiny_config(frame_csv, Path("out"))
         assert a.config_hash() == b.config_hash()
-        c = replace(a, master_seed=99)
-        assert a.config_hash() != c.config_hash()
+        for change in (dict(master_seed=99), dict(max_explained_instances=4), dict(n_trees=6)):
+            assert replace(a, **change).config_hash() != a.config_hash(), change
+        # where outputs go and which cells one invocation runs change no output file
+        for change in (dict(output_dir=Path("elsewhere").absolute()),
+                       dict(balancing=("smote", "original")), dict(tuning=("tuned",)),
+                       dict(methods=("moc", "nice_pr"))):
+            assert replace(a, **change).config_hash() == a.config_hash(), change
 
 
 class TestParseConfig:
@@ -220,6 +225,7 @@ class TestRun:
         out = tmp_path / "out"
         config = tiny_config(path, out, balancing=("smote", "original"), smote_k=5)
         manifest = run(config)
+        assert manifest.blocks["smote:vanilla"]["status"] == "failed"
         assert manifest.cells["smote:vanilla:whatif"]["status"] == "failed"
         assert "SMOTE" in manifest.cells["smote:vanilla:whatif"]["error"]
         assert manifest.cells["original:vanilla:whatif"]["status"] == "done"

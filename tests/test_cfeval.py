@@ -14,11 +14,13 @@ from cfbench.cfeval import (
 from cfbench.balance import ClassWeights
 from cfbench.cfgen import SPARSITY, CfRequest, Counterfactual, nice, whatif
 from cfbench.dataset import FAIL, PASS, LabeledDataset
-from cfbench.distance import RangeTable
 from cfbench.forest import Hyperparams, RandomForestModel, fit_forest
 
 from conftest import StubModel
 from synth import make_blobs
+
+
+CELL = Cell("original", "vanilla", "moc")
 
 
 def dataset(rows, labels):
@@ -30,7 +32,7 @@ def make_cf(values, req, method="moc"):
                           source_request=req)
 
 
-def quality(request_id=0, cell=Cell("original", "vanilla", "moc"), validity=1,
+def quality(request_id=0, cell=CELL, validity=1,
             proximity=0.1, sparsity=2, minimality=0, plausibility=0.05):
     return QualityRecord(request_id, cell, validity, proximity, sparsity, minimality, plausibility)
 
@@ -40,23 +42,23 @@ class TestScore:
         # pass iff f1 >= 1, regardless of f2
         self.model = StubModel(lambda r: 0.0 if r[0] >= 1 else 1.0, p=2)
         self.train = dataset([[1, 1], [0, 0], [2, 5]], [PASS, FAIL, PASS])
-        self.ranges = RangeTable.from_dataset(self.train)
         self.x = np.array([0.0, 0.0])
         self.req = CfRequest.for_instance(self.x, self.train)
+        self.ranges = self.req.ranges()
 
     def test_whatif_output_is_plausible_and_valid(self):
         cfs = whatif(self.req, self.model, self.train, k=1)
-        rec = score(self.x, cfs[0], self.model, self.train, self.ranges)
+        rec = score(self.x, cfs[0], self.model, self.train, self.ranges, CELL)
         assert rec.validity == 1
         assert rec.plausibility == 0.0
 
     def test_identity_counterfactual(self):
-        rec = score(self.x, make_cf([0, 0], self.req), self.model, self.train, self.ranges)
+        rec = score(self.x, make_cf([0, 0], self.req), self.model, self.train, self.ranges, CELL)
         assert (rec.validity, rec.proximity, rec.sparsity, rec.minimality) == (0, 0.0, 0, 0)
 
     def test_redundant_change_counted_by_reversion(self):
         """cf changes both features but only f1 was necessary: minimality 1."""
-        rec = score(self.x, make_cf([1, 5], self.req), self.model, self.train, self.ranges)
+        rec = score(self.x, make_cf([1, 5], self.req), self.model, self.train, self.ranges, CELL)
         assert rec.validity == 1
         assert rec.sparsity == 2
         assert rec.minimality == 1
@@ -66,14 +68,14 @@ class TestScore:
         rng = np.random.default_rng(3)
         model = StubModel(lambda r: 0.0 if (r[0] >= 1 or r[2] >= 3) else 1.0, p=3)
         train = dataset(rng.uniform(0, 5, size=(10, 3)), [PASS] * 5 + [FAIL] * 5)
-        ranges = RangeTable.from_dataset(train)
         x = np.zeros(3)
         req = CfRequest.for_instance(x, train)
+        ranges = req.ranges()
         for _ in range(50):
             cand = np.where(rng.random(3) < 0.5, rng.uniform(0, 5, 3), x)
             if model.predict_proba(cand) >= 0.5:
                 continue
-            rec = score(x, make_cf(cand, req), model, train, ranges)
+            rec = score(x, make_cf(cand, req), model, train, ranges, CELL)
             expected = 0
             for j in range(3):
                 if cand[j] != x[j]:
@@ -86,23 +88,23 @@ class TestScore:
 
     def test_pure_function(self):
         cf = make_cf([1, 3], self.req)
-        a = score(self.x, cf, self.model, self.train, self.ranges)
-        b = score(self.x, cf, self.model, self.train, self.ranges)
+        a = score(self.x, cf, self.model, self.train, self.ranges, CELL)
+        b = score(self.x, cf, self.model, self.train, self.ranges, CELL)
         assert a == b
 
     def test_nice_always_valid(self):
         cf = nice(self.req, self.model, self.train, SPARSITY)
-        rec = score(self.x, cf, self.model, self.train, self.ranges)
+        rec = score(self.x, cf, self.model, self.train, self.ranges, CELL)
         assert rec.validity == 1
 
     def test_one_forest_call_per_counterfactual(self, monkeypatch):
         """Validity and minimality come from one batch: the same as single-row calls."""
         train = make_blobs(n=80, p=4, seed=3, separation=0.7)
         model = fit_forest(train, Hyperparams(2, "gini", 1, n_trees=9), ClassWeights.unit(), 1)
-        ranges = RangeTable.from_dataset(train)
         rng = np.random.default_rng(5)
         x = train.features[0]
         req = CfRequest.for_instance(x, train)
+        ranges = req.ranges()
         cands = [x, *np.where(rng.random((30, 4)) < 0.5, rng.normal(size=(30, 4)), x)]
         single = []
         for cand in cands:
@@ -118,7 +120,7 @@ class TestScore:
 
         monkeypatch.setattr(RandomForestModel, "predict_proba_batch", counting)
         for cand, (validity, minimality) in zip(cands, single):
-            rec = score(x, make_cf(cand, req), model, train, ranges)
+            rec = score(x, make_cf(cand, req), model, train, ranges, CELL)
             assert (rec.validity, rec.minimality) == (validity, minimality)
         assert calls == [1 + int((cand != x).sum()) for cand in cands]
         assert {v for v, _ in single} == {0, 1}

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from cfbench.balance import ClassWeights
 from cfbench.cfgen import (
     NICE_PR,
     NICE_SP,
@@ -20,6 +21,7 @@ from cfbench.cfgen import (
 )
 from cfbench.dataset import FAIL, PASS, LabeledDataset
 from cfbench.distance import RangeTable, gower
+from cfbench.forest import Hyperparams, fit_forest
 
 from conftest import StubModel
 from synth import make_blobs
@@ -45,7 +47,7 @@ def brute_gower(a, b, widths):
 def objectives_of(x, cand, model, train):
     """The merged MOC objective function on a one-row candidate block."""
     obj, _ = objectives(np.asarray(x, dtype=float), np.asarray(cand, dtype=float)[None, :],
-                        model, train, RangeTable.from_dataset(train))
+                        model, train, request_for(x, train).ranges())
     return MocObjectives(*obj[0])
 
 
@@ -243,6 +245,32 @@ class TestNiceHandTraces:
         for j in range(4):
             assert cf.values[j] == x[j] or cf.values[j] == z[j]
 
+    @pytest.mark.parametrize("reward", [SPARSITY, PROXIMITY])
+    def test_one_forest_call_per_step(self, reward):
+        """Each greedy step predicts c and its candidates in one call: a request
+        with given pool scores makes exactly ``iterations`` calls, none of one row."""
+        ds = make_blobs(n=80, p=6, seed=4, separation=0.6)
+        model = fit_forest(ds, Hyperparams(2, "gini", 1, n_trees=9), ClassWeights.unit(), 2)
+        scores = model.predict_proba_batch(ds.features)
+        rows = []
+
+        class Counting:
+            def predict_proba_batch(self, X):
+                rows.append(len(X))
+                return model.predict_proba_batch(X)
+
+            def predict_proba(self, x):
+                rows.append(1)
+                return model.predict_proba(x)
+
+        fail_rows = np.flatnonzero(scores >= 0.5)[:5]
+        assert fail_rows.size == 5
+        for i in fail_rows:
+            rows.clear()
+            cf = nice(request_for(ds.features[i], ds), Counting(), ds, reward, scores=scores)
+            assert len(rows) == cf.generation_meta["iterations"] and 1 not in rows
+            assert model.predict_proba(cf.values) < 0.5
+
 
 def one_dim_setup(seed=0):
     """pass iff value >= 10 on the range [0, 20]."""
@@ -344,9 +372,6 @@ class TestRequest:
         with pytest.raises(ValueError, match="bounds"):
             CfRequest(x=np.zeros(2), mutable_mask=np.ones(2, bool),
                       bounds=np.array([[1.0, 0.0], [0.0, 1.0]]))
-        with pytest.raises(ValueError, match="desired"):
-            CfRequest(x=np.zeros(2), mutable_mask=np.ones(2, bool),
-                      bounds=np.array([[0.0, 1.0], [0.0, 1.0]]), desired=FAIL)
 
     def test_bounds_from_training_ranges(self):
         train = dataset([[0, 5], [10, 7]], [FAIL, PASS])

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from cfbench import forest
+from cfbench import bench, cfeval, forest
 from cfbench.cli import main
 from cfbench.dataset import FRAME_COLUMNS, load_csv
 
@@ -66,6 +66,21 @@ def test_run_and_report(tmp_path, config_file, capsys):
     assert (out_dir / "cell_summaries.csv").read_bytes() == summaries_before
 
 
+def test_report_replaces_cell_summaries_atomically(tmp_path, config_file, monkeypatch):
+    assert main(["run", "--config", str(config_file)]) == 0
+    path = tmp_path / "out" / "cell_summaries.csv"
+    before = path.read_bytes()
+
+    def broken(target, summaries):
+        target.write_text("balancing,tun")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cfeval, "write_cell_summaries", broken)
+    with pytest.raises(OSError, match="disk full"):
+        main(["report", "--out", str(tmp_path / "out")])
+    assert path.read_bytes() == before
+
+
 def test_run_restricted_to_one_cell(tmp_path, config_file, capsys):
     assert main(["run", "--config", str(config_file), "--cell",
                  "original:vanilla:whatif", "--out", str(tmp_path / "cell_out")]) == 0
@@ -88,15 +103,80 @@ def test_explain(config_file, capsys):
     assert "->" in captured.out
 
 
-def test_train_and_explain_reuse_a_finished_run(tmp_path, config_file, capsys, monkeypatch):
-    """On a finished run's output directory and config, no forest is fit or tuned again."""
-    text = config_file.read_text().replace("tuning = vanilla", "tuning = tuned") + """
+TUNE = """
 [tune]
 folds = 2
 mtry = 2,6
 splitrule = gini
 min_node_size = 1
 """
+
+
+def count_calls(monkeypatch, module, name) -> list[int]:
+    """Patch ``module.name`` to record one entry per call."""
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def output_files(root):
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*"))
+            if p.is_file() and p.name != "manifest.json"}
+
+
+def test_shards_into_one_directory_fit_each_block_once(tmp_path, config_file, capsys,
+                                                        monkeypatch):
+    """Sequential run --cell shards share the output directory's manifest: they
+    fit each block once, and a final run resumes every block and cell and
+    writes the same files as one run into a fresh directory."""
+    config = tmp_path / "grid.cfg"
+    config.write_text(config_file.read_text().replace("tuning = vanilla",
+                                                      "tuning = vanilla,tuned") + TUNE)
+    fits = count_calls(monkeypatch, forest, "fit_forest")
+    generated = count_calls(monkeypatch, bench, "generate_for_cell")
+    single, shards = tmp_path / "single", tmp_path / "shards"
+    assert main(["run", "--config", str(config), "--out", str(single)]) == 0
+    single_fits = len(fits)
+    assert single_fits == 2 + 2 * (2 * 2 + 1)  # vanilla: 1 fit; tuned: 2 folds x 2 points + 1
+    fits.clear()
+    for cell in [f"{b}:{t}:{m}" for b in ("original", "undersampling")
+                 for t in ("vanilla", "tuned") for m in ("whatif", "nice_sp")]:
+        assert main(["run", "--config", str(config), "--out", str(shards), "--cell", cell]) == 0
+        assert "1/1 cells done" in capsys.readouterr().out
+    assert len(fits) == single_fits
+    fits.clear()
+    generated.clear()
+    assert main(["run", "--config", str(config), "--out", str(shards)]) == 0
+    assert "8/8 cells done" in capsys.readouterr().out
+    assert fits == [] and generated == []
+    assert len(output_files(single)) == 4 + 4 * 2 + 8 * 3
+    assert output_files(shards) == output_files(single)
+
+
+def test_explain_reuses_a_run_under_another_spelling_of_out(tmp_path, config_file,
+                                                            monkeypatch):
+    """The config hash ignores the output path, so a relative and an absolute
+    spelling of one directory resume the same blocks."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--config", str(config_file), "--out", "out"]) == 0
+    fits = count_calls(monkeypatch, forest, "fit_forest")
+    # the config file names the output directory by its absolute path
+    assert main(["explain", "--config", str(config_file), "--cell",
+                 "undersampling:vanilla:nice_sp"]) == 0
+    assert main(["train", "--config", str(config_file), "--cell", "original:vanilla",
+                 "--out", "out"]) == 0
+    assert fits == []
+
+
+def test_train_and_explain_reuse_a_finished_run(tmp_path, config_file, capsys, monkeypatch):
+    """On a finished run's output directory and config, no forest is fit or tuned again."""
+    text = config_file.read_text().replace("tuning = vanilla", "tuning = tuned") + TUNE
     config = tmp_path / "tuned.cfg"
     config.write_text(text)
     fresh = tmp_path / "fresh.cfg"
@@ -128,14 +208,7 @@ min_node_size = 1
 
 def test_explain_twice_fits_once(tmp_path, config_file, capsys, monkeypatch):
     """A fresh explain records its block in the manifest; the next one loads it."""
-    fits = []
-    original = forest.fit_forest
-
-    def counting(*args, **kwargs):
-        fits.append(1)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(forest, "fit_forest", counting)
+    fits = count_calls(monkeypatch, forest, "fit_forest")
     explain = ["explain", "--config", str(config_file), "--cell", "undersampling:vanilla:whatif"]
     assert main(explain) == 0
     first = capsys.readouterr().out

@@ -36,8 +36,7 @@ class TestLoadCsv:
         f = write(tmp_path / "d.csv", "a,b,final_result\n0,1,fail\n0,2,pass\n")
         ds = load_csv(f, ["a", "b", "final_result"])
         assert ds.specs[0] == FeatureSpec("a", 0.0, 0.0)
-        assert ds.specs[0].width == 0
-        assert ds.specs[1].width > 0
+        assert ds.specs[1] == FeatureSpec("b", 1.0, 2.0)
 
     def test_unparseable_cell_names_row_and_column(self, tmp_path):
         f = write(tmp_path / "d.csv", "a,b,final_result\n1,2,fail\n1,x,pass\n")

@@ -1,0 +1,55 @@
+"""Design rules of the package, checked on the syntax trees of its modules.
+
+* One atomic writer: ``os.replace`` appears only inside `bench._atomic_write`.
+* One seeding module: numpy's ``default_rng`` and ``SeedSequence`` appear
+  only in ``rng.py``, so every Generator comes from its helpers.
+"""
+
+import ast
+from pathlib import Path
+
+import cfbench
+
+PACKAGE = Path(cfbench.__file__).parent
+
+
+def references(match) -> list[tuple[str, str]]:
+    """(module, enclosing function or class path) of every node ``match`` accepts."""
+    found = []
+
+    def visit(node, scope, module):
+        if match(node):
+            found.append((module, scope))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope, module)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), "", path.stem)
+    return found
+
+
+def is_os_replace(node) -> bool:
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "os" and any(a.name == "replace" for a in node.names)
+    return (isinstance(node, ast.Attribute) and node.attr == "replace"
+            and isinstance(node.value, ast.Name) and node.value.id == "os")
+
+
+def is_generator_maker(node) -> bool:
+    names = {"default_rng", "SeedSequence"}
+    if isinstance(node, ast.alias):
+        return node.name.rsplit(".", 1)[-1] in names
+    return ((isinstance(node, ast.Attribute) and node.attr in names)
+            or (isinstance(node, ast.Name) and node.id in names))
+
+
+def test_os_replace_only_in_the_atomic_writer():
+    assert references(is_os_replace) == [("bench", "_atomic_write")]
+
+
+def test_generators_made_only_in_rng():
+    found = references(is_generator_maker)
+    assert found, "the rule matched nothing; the checker is broken"
+    assert {module for module, _ in found} == {"rng"}, found
