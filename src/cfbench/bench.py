@@ -17,8 +17,10 @@ CSV outputs.
 fits one (balancing, tuning) forest and writes ``models/``; its cell step
 resumes or generates one cell and writes ``cells/``. `run`, its ``--cell``
 shards and the CLI's ``train`` and ``explain`` all go through these steps, so
-each resumes what an earlier one left in the same output directory under the
-same config hash. Every artifact reaches disk through `_atomic_write`.
+each resumes what an earlier one left in the same output directory. A done
+entry stores its reuse key, `ExperimentConfig.key`, a hash of only the
+settings its files depend on. Every artifact reaches disk through
+`_atomic_write`.
 """
 
 from __future__ import annotations
@@ -58,8 +60,11 @@ TUNING_ALL = (VANILLA, TUNED)
 GLOBAL_CELL = Cell("-", "-", "-")
 
 # No output file depends on where it is written or on which cells an
-# invocation selects, so these fields stay out of the config hash.
+# invocation selects, so these fields stay out of every reuse key.
 _UNHASHED = ("output_dir", "balancing", "tuning", "methods")
+# Only generation reads these, so they stay out of a block's key.
+_CELL_ONLY = ("max_explained_instances", "whatif_k", "moc_population", "moc_generations",
+              "moc_crossover_rate", "moc_mutation_rate")
 
 
 @dataclass(frozen=True)
@@ -144,19 +149,20 @@ class ExperimentConfig:
             seed=seed,
         )
 
-    def canonical(self) -> str:
-        lines = []
+    def key(self, cell: Cell) -> str:
+        """The reuse key of ``cell``'s manifest entry: a hash of the cell and of
+        the settings its files depend on. A block is ``Cell(b, t, "-")``, and
+        its key leaves out the cell-only settings."""
+        skip = _UNHASHED + (_CELL_ONLY if cell.method == "-" else ())
+        lines = [f"cell={cell.key()}"]
         for f in sorted(fields(self), key=lambda f: f.name):
-            if f.name in _UNHASHED:
+            if f.name in skip:
                 continue
             value = getattr(self, f.name)
             if isinstance(value, tuple):
                 value = ",".join(str(v) for v in value)
             lines.append(f"{f.name}={value}")
-        return "\n".join(lines)
-
-    def config_hash(self) -> str:
-        return hashlib.sha256(self.canonical().encode()).hexdigest()[:16]
+        return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
 
 
 _KEY_TO_FIELD = {
@@ -223,23 +229,21 @@ def _convert(raw: str, kind, context: str):
 
 @dataclass
 class RunManifest:
-    """Run record: per-cell status and artifact locations, for resume and audit."""
+    """Run record: per-block and per-cell status, reuse key, counts and
+    timings, for resume and audit. It names no location, so it stays valid
+    wherever the output directory is reached from."""
 
-    config_hash: str
     blocks: dict = field(default_factory=dict)
     cells: dict = field(default_factory=dict)
-    outputs: dict = field(default_factory=dict)
 
     def save(self, path) -> None:
-        payload = {"config_hash": self.config_hash, "blocks": self.blocks,
-                   "cells": self.cells, "outputs": self.outputs}
+        payload = {"blocks": self.blocks, "cells": self.cells}
         _atomic_write(Path(path), lambda p: _write_json(p, payload))
 
     @classmethod
     def load(cls, path) -> "RunManifest":
         raw = json.loads(Path(path).read_text())
-        return cls(config_hash=raw["config_hash"], blocks=raw.get("blocks", {}),
-                   cells=raw.get("cells", {}), outputs=raw.get("outputs", {}))
+        return cls(blocks=raw.get("blocks", {}), cells=raw.get("cells", {}))
 
     def completed_cells(self) -> int:
         return sum(1 for c in self.cells.values() if c.get("status") == "done")
@@ -344,12 +348,11 @@ class Pipeline:
     """The block and cell steps of one run over one output directory.
 
     ``manifest`` is the directory's one manifest: the one an earlier
-    invocation left in ``out`` under the same config hash, else a new one,
-    which replaces the old file when it is first saved. Each step writes its
-    own entry into it, done or failed, and resumes a block or cell it marks
-    done from its files. ``bounds`` are the original training-split feature
-    ranges, shared by every cell so that distances stay comparable across
-    balancing strategies.
+    invocation left in ``out``, else a new one. Each step writes its own
+    entry into it, done or failed, and resumes a block or cell from its files
+    when its entry is done under the step's reuse key. ``bounds`` are the
+    original training-split feature ranges, shared by every cell so that
+    distances stay comparable across balancing strategies.
     """
 
     config: ExperimentConfig
@@ -360,16 +363,14 @@ class Pipeline:
 
     @classmethod
     def open(cls, config: ExperimentConfig) -> "Pipeline":
-        """Read the resumable manifest of ``config.output_dir`` and make the run's one split."""
+        """Read the manifest of ``config.output_dir`` and make the run's one split."""
         out = Path(config.output_dir)
         manifest_path = out / "manifest.json"
-        manifest = RunManifest(config_hash=config.config_hash())
+        manifest = RunManifest()
         if manifest_path.exists():
             try:
-                candidate = RunManifest.load(manifest_path)
-                if candidate.config_hash == manifest.config_hash:
-                    manifest = candidate
-            except (ValueError, KeyError, json.JSONDecodeError):
+                manifest = RunManifest.load(manifest_path)
+            except (ValueError, AttributeError):
                 logger.warning("ignoring unreadable manifest at %s", manifest_path)
         data = load_data(config)
         split = stratified_split(data, config.test_fraction,
@@ -384,21 +385,24 @@ class Pipeline:
         """The block's training set, forest, meta (hyperparameters and test
         metrics) and manifest entry.
 
-        The forest is loaded when the manifest marks the block done and both
-        ``models/`` files exist. Otherwise it is fit (and tuned), evaluated and
-        saved with its meta, and then the manifest is saved; ``seconds`` cover
-        the fit through the meta write. A failure is recorded and re-raised.
+        The forest is loaded when the manifest marks the block done under the
+        block's key and both ``models/`` files exist. Otherwise it is fit (and
+        tuned), evaluated and saved with its meta, and then the manifest is
+        saved; ``seconds`` cover the fit through the meta write. A failure is
+        recorded and re-raised.
         """
-        key = f"{balancing}:{tuning}"
+        name = f"{balancing}:{tuning}"
+        key = self.config.key(Cell(balancing, tuning, "-"))
         model_path = self.out / "models" / f"{balancing}_{tuning}.forest"
         meta_path = model_path.with_suffix(".json")
-        prev = self.manifest.blocks.get(key, {})
+        prev = self.manifest.blocks.get(name, {})
         try:
             method_train, weights = prepare_training(self.config, self.split.train, balancing)
-            if prev.get("status") == "done" and model_path.exists() and meta_path.exists():
+            if prev.get("status") == "done" and prev.get("key") == key \
+                    and model_path.exists() and meta_path.exists():
                 model = forest.load_model(model_path)
                 meta = json.loads(meta_path.read_text())
-                entry = self.manifest.blocks[key] = {**prev, "status": "done", "resumed": True}
+                entry = self.manifest.blocks[name] = {**prev, "resumed": True}
                 return method_train, model, meta, entry
             model_path.parent.mkdir(parents=True, exist_ok=True)
             t0 = time.perf_counter()
@@ -412,50 +416,47 @@ class Pipeline:
             _atomic_write(model_path, lambda p: forest.save_model(model, p))
             _atomic_write(meta_path, lambda p: _write_json(p, meta))
         except Exception as exc:
-            self.manifest.blocks[key] = {"status": "failed", "error": str(exc)}
+            self.manifest.blocks[name] = {"status": "failed", "error": str(exc)}
             raise
-        entry = self.manifest.blocks[key] = {
-            "status": "done", "seconds": round(time.perf_counter() - t0, 3),
-            "model_file": str(model_path), **meta}
+        entry = self.manifest.blocks[name] = {
+            "status": "done", "key": key, "seconds": round(time.perf_counter() - t0, 3), **meta}
         self.save_manifest()
         return method_train, model, meta, entry
 
     def cell(self, cell: Cell, model, method_train: LabeledDataset, fail_rows):
         """The cell's quality records, or None if generation failed.
 
-        A cell the manifest marks done, with its three ``cells/`` files, is
-        read back. Otherwise it is generated and the three files are written;
-        ``seconds`` cover exactly that.
+        A cell the manifest marks done under the cell's key, with its three
+        ``cells/`` files, is read back. Otherwise it is generated and the
+        three files are written; ``seconds`` cover exactly that.
         """
-        key, stem = cell.key(), "_".join(cell)
+        name, key, stem = cell.key(), self.config.key(cell), "_".join(cell)
         cell_file = self.out / "cells" / f"{stem}.csv"
         cfs_file = self.out / "cells" / f"{stem}.cfs.csv"
         meta_file = self.out / "cells" / f"{stem}.meta.jsonl"
-        prev = self.manifest.cells.get(key, {})
-        if prev.get("status") == "done" and cell_file.exists() \
+        prev = self.manifest.cells.get(name, {})
+        if prev.get("status") == "done" and prev.get("key") == key and cell_file.exists() \
                 and cfs_file.exists() and meta_file.exists():
-            self.manifest.cells[key] = {**prev, "status": "done", "resumed": True}
+            self.manifest.cells[name] = {**prev, "resumed": True}
             return cfeval.read_quality_records(cell_file)
         t0 = time.perf_counter()
         try:
             records, items = generate_for_cell(self.config, cell, model, method_train,
                                                self.split.test, self.bounds, fail_rows)
         except Exception as exc:  # noqa: BLE001 - a failing cell must not kill the run
-            logger.exception("cell %s failed", key)
-            self.manifest.cells[key] = {"status": "failed", "error": str(exc)}
+            logger.exception("cell %s failed", name)
+            self.manifest.cells[name] = {"status": "failed", "error": str(exc)}
             return None
         _atomic_write(cell_file, lambda p: cfeval.write_quality_records(p, records))
         names = self.split.test.feature_names
         # the counterfactual CSV is renamed into place before its metadata stream
         _atomic_write(meta_file, lambda meta_tmp: _atomic_write(
             cfs_file, lambda cfs_tmp: cfgen.write_counterfactuals(cfs_tmp, meta_tmp, names, items)))
-        self.manifest.cells[key] = {
+        self.manifest.cells[name] = {
             "status": "done",
+            "key": key,
             "requests": len(fail_rows),
             "count": len(records),
-            "records_file": str(cell_file),
-            "counterfactuals_file": str(cfs_file),
-            "meta_file": str(meta_file),
             "seconds": round(time.perf_counter() - t0, 3),
         }
         return records
@@ -497,17 +498,23 @@ def run(config: ExperimentConfig) -> RunManifest:
                                                        "error": f"block failed: {block_error}"}
                 pipe.save_manifest()
 
-    _write_outputs(config, pipe.out, perf_rows, records_per_cell, pipe.manifest)
+    _write_outputs(config, pipe.out, perf_rows, records_per_cell)
     pipe.save_manifest()
     return pipe.manifest
 
 
 def _atomic_write(path: Path, writer) -> None:
-    """Write ``path`` through ``writer(tmp)`` on a sibling ``.tmp`` file, then
-    rename it into place, so that no reader ever sees a partial artifact."""
-    tmp = path.with_name(path.name + ".tmp")
-    writer(tmp)
-    os.replace(tmp, path)
+    """Write ``path`` through ``writer(tmp)`` on a sibling ``.<pid>.tmp`` file,
+    then rename it into place, so that no reader ever sees a partial artifact.
+    The name is unique per process; a writer that raises leaves the old file
+    and no temporary file behind."""
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        writer(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _write_json(path, payload) -> None:
@@ -536,26 +543,23 @@ def _write_counts(path, config, records_per_cell) -> None:
                 writer.writerow(row)
 
 
-def _write_outputs(config, out: Path, perf_rows, records_per_cell, manifest: RunManifest) -> None:
-    perf_path = out / "performance.csv"
-    _atomic_write(perf_path, lambda p: _write_performance(p, perf_rows))
-    counts_path = out / "counts.csv"
-    _atomic_write(counts_path, lambda p: _write_counts(p, config, records_per_cell))
+def write_summaries(path: Path, records) -> int:
+    """Aggregate ``records`` into the cell summaries at ``path``, header only
+    when there are none; returns the number of cells summarized."""
+    summaries = cfeval.aggregate(records) if records else []
+    _atomic_write(path, lambda p: cfeval.write_cell_summaries(p, summaries))
+    return len(summaries)
+
+
+def _write_outputs(config, out: Path, perf_rows, records_per_cell) -> None:
+    _atomic_write(out / "performance.csv", lambda p: _write_performance(p, perf_rows))
+    _atomic_write(out / "counts.csv", lambda p: _write_counts(p, config, records_per_cell))
 
     all_records = []
     for balancing in config.balancing:
         for tuning in config.tuning:
             for method in config.methods:
                 all_records.extend(records_per_cell.get(Cell(balancing, tuning, method), []))
-    records_path = out / "quality_records.csv"
-    _atomic_write(records_path, lambda p: cfeval.write_quality_records(p, all_records))
-    summaries_path = out / "cell_summaries.csv"
-    if all_records:
-        summaries = cfeval.aggregate(all_records)
-        _atomic_write(summaries_path, lambda p: cfeval.write_cell_summaries(p, summaries))
-    manifest.outputs = {
-        "performance": str(perf_path),
-        "counts": str(counts_path),
-        "quality_records": str(records_path),
-        "cell_summaries": str(summaries_path) if all_records else "",
-    }
+    _atomic_write(out / "quality_records.csv",
+                  lambda p: cfeval.write_quality_records(p, all_records))
+    write_summaries(out / "cell_summaries.csv", all_records)

@@ -429,20 +429,6 @@ def write_counterfactuals(csv_path, meta_path, feature_names, items) -> None:
             writer.writerow([request_id, cf.method, *[repr(float(v)) for v in cf.values],
                              int(valid)])
             mh.write(json.dumps(
-                {"request_id": request_id, "method": cf.method, "meta": _jsonable(cf.generation_meta)},
+                {"request_id": request_id, "method": cf.method, "meta": cf.generation_meta},
                 sort_keys=True,
             ) + "\n")
-
-
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, MocObjectives):
-        return list(value)
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    return value

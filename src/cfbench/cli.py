@@ -6,7 +6,7 @@ and test metrics), ``explain`` (one instance, one method, printed diff),
 
 ``train`` and ``explain`` go through the block step of `bench.Pipeline`, as
 ``run`` does: they reuse a forest in the output directory when its manifest
-has the same config hash and marks the block done, and otherwise fit it, write
+marks the block done under the block's reuse key, and otherwise fit it, write
 the same ``models/`` files that ``run`` writes and record the block in the
 manifest. ``run --cell`` shards into one output directory share its manifest
 the same way.
@@ -69,12 +69,13 @@ def cmd_train(args) -> int:
     config = _load_config(args)
     cell = _parse_cell(args.cell, want_method=False)
     _, _, meta, entry = bench.Pipeline.open(config).block(cell.balancing, cell.tuning)
+    model_path = Path(config.output_dir) / "models" / f"{cell.balancing}_{cell.tuning}.forest"
     hp, metrics = meta["hyperparams"], meta["metrics"]
     print(f"cell {cell.balancing}:{cell.tuning}")
     print(f"hyperparams: mtry={hp['mtry']} splitrule={hp['splitrule']} "
           f"min_node_size={hp['min_node_size']} n_trees={hp['n_trees']}")
     print(f"accuracy {metrics['accuracy']:.4f}  auc {metrics['auc']:.4f}  f1 {metrics['f1']:.4f}")
-    print(f"model {'loaded from' if entry.get('resumed') else 'saved to'} {entry['model_file']}")
+    print(f"model {'loaded from' if entry.get('resumed') else 'saved to'} {model_path}")
     return 0
 
 
@@ -132,10 +133,8 @@ def cmd_run(args) -> int:
 def cmd_report(args) -> int:
     out = Path(args.out)
     records = cfeval.read_quality_records(out / "quality_records.csv")
-    summaries = cfeval.aggregate(records)
-    bench._atomic_write(out / "cell_summaries.csv",
-                        lambda p: cfeval.write_cell_summaries(p, summaries))
-    print(f"re-aggregated {len(records)} records into {len(summaries)} cell summaries")
+    n_summaries = bench.write_summaries(out / "cell_summaries.csv", records)
+    print(f"re-aggregated {len(records)} records into {n_summaries} cell summaries")
     return 0
 
 

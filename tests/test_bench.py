@@ -1,4 +1,5 @@
 import json
+import os
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 
 from cfbench import cfgen
 from cfbench.bench import (
+    _atomic_write,
     BALANCING_ALL,
     TUNING_ALL,
     ExperimentConfig,
@@ -23,6 +25,7 @@ from cfbench.bench import (
 )
 from cfbench.cfeval import Cell, QualityRecord
 from cfbench.cfgen import METHODS
+from cfbench.cli import main
 from cfbench.distance import RangeTable, gower, gower_many
 from cfbench.forest import RandomForestModel
 
@@ -101,16 +104,27 @@ class TestConfig:
         assert full.max_explained_instances is None
 
     def test_hash_stable_and_sensitive(self, frame_csv):
+        """A block's key covers only the settings its forest depends on; a
+        cell's key also covers the generation settings."""
         a = tiny_config(frame_csv, Path("out"))
-        b = tiny_config(frame_csv, Path("out"))
-        assert a.config_hash() == b.config_hash()
-        for change in (dict(master_seed=99), dict(max_explained_instances=4), dict(n_trees=6)):
-            assert replace(a, **change).config_hash() != a.config_hash(), change
-        # where outputs go and which cells one invocation runs change no output file
-        for change in (dict(output_dir=Path("elsewhere").absolute()),
+        block, cell = Cell("original", "tuned", "-"), Cell("original", "tuned", "moc")
+        assert a.key(block) == tiny_config(frame_csv, Path("out")).key(block)
+        assert len({a.key(block), a.key(cell), a.key(Cell("smote", "tuned", "-"))}) == 3
+        # where outputs go, which cells one invocation runs and how a cell
+        # generates change no forest
+        for change in (dict(output_dir=Path("out").absolute()),
                        dict(balancing=("smote", "original")), dict(tuning=("tuned",)),
-                       dict(methods=("moc", "nice_pr"))):
-            assert replace(a, **change).config_hash() == a.config_hash(), change
+                       dict(methods=("moc", "nice_pr")), dict(max_explained_instances=4),
+                       dict(whatif_k=4), dict(moc_population=11), dict(moc_generations=6),
+                       dict(moc_crossover_rate=0.5), dict(moc_mutation_rate=0.5)):
+            assert replace(a, **change).key(block) == a.key(block), change
+        for change in (dict(master_seed=99), dict(n_trees=6), dict(smote_k=4),
+                       dict(tune_folds=3), dict(frame_csv=Path("other.csv"))):
+            assert replace(a, **change).key(block) != a.key(block), change
+            assert replace(a, **change).key(cell) != a.key(cell), change
+        for change in (dict(max_explained_instances=4), dict(moc_generations=6)):
+            assert replace(a, **change).key(cell) != a.key(cell), change
+        assert replace(a, output_dir=Path("out").absolute()).key(cell) == a.key(cell)
 
 
 class TestParseConfig:
@@ -258,10 +272,33 @@ class TestRun:
 
     def test_manifest_round_trip(self, frame_csv, tmp_path):
         out = tmp_path / "out"
-        run(tiny_config(frame_csv, out))
+        config = tiny_config(frame_csv, out)
+        returned = run(config)
         manifest = RunManifest.load(out / "manifest.json")
-        assert manifest.config_hash == tiny_config(frame_csv, out).config_hash()
-        assert manifest.outputs["performance"].endswith("performance.csv")
+        assert manifest == returned
+        assert manifest.blocks["original:vanilla"]["key"] == config.key(
+            Cell("original", "vanilla", "-"))
+        assert manifest.cells["original:vanilla:whatif"]["key"] == config.key(
+            Cell("original", "vanilla", "whatif"))
+        # the manifest names no location, so it holds for any spelling of out
+        assert str(tmp_path) not in (out / "manifest.json").read_text()
+
+    def test_failed_rerun_leaves_no_stale_summaries(self, tmp_path):
+        """A rerun whose every cell fails rewrites the summaries header-only,
+        matching its empty records, and report still succeeds."""
+        path = tmp_path / "small.csv"
+        make_week_frame(n=40, seed=9, fail_frac=0.12).save_csv(path)
+        out = tmp_path / "out"
+        run(tiny_config(path, out, balancing=("original",), smote_k=5))
+        summaries = out / "cell_summaries.csv"
+        assert len(summaries.read_text().splitlines()) > 1
+        manifest = run(tiny_config(path, out, balancing=("smote",), smote_k=5))
+        assert manifest.cells["smote:vanilla:whatif"]["status"] == "failed"
+        assert len((out / "quality_records.csv").read_text().splitlines()) == 1
+        assert summaries.read_text().splitlines() == [
+            "balancing,tuning,method,metric,median,q1,q3,count"]
+        assert main(["report", "--out", str(out)]) == 0
+        assert len(summaries.read_text().splitlines()) == 1
 
     def test_master_seed_changes_results(self, frame_csv, tmp_path):
         config_a = tiny_config(frame_csv, tmp_path / "a", methods=("moc",))
@@ -271,6 +308,25 @@ class TestRun:
         a = (tmp_path / "a" / "quality_records.csv").read_bytes()
         b = (tmp_path / "b" / "quality_records.csv").read_bytes()
         assert a != b
+
+
+def test_atomic_write_failure_keeps_old_file(tmp_path):
+    """A writer that raises leaves the old bytes and no temporary file; the
+    temporary name carries the process id, so two processes never share it."""
+    path = tmp_path / "x.csv"
+    path.write_text("old")
+    names = []
+
+    def broken(tmp):
+        names.append(tmp.name)
+        tmp.write_text("partial")
+        raise OSError("disk full")
+
+    with pytest.raises(OSError, match="disk full"):
+        _atomic_write(path, broken)
+    assert names == [f"x.csv.{os.getpid()}.tmp"]
+    assert path.read_text() == "old"
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def count_predict_calls(monkeypatch) -> list[int]:

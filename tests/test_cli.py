@@ -161,7 +161,7 @@ def test_shards_into_one_directory_fit_each_block_once(tmp_path, config_file, ca
 
 def test_explain_reuses_a_run_under_another_spelling_of_out(tmp_path, config_file,
                                                             monkeypatch):
-    """The config hash ignores the output path, so a relative and an absolute
+    """Reuse keys ignore the output path, so a relative and an absolute
     spelling of one directory resume the same blocks."""
     monkeypatch.chdir(tmp_path)
     assert main(["run", "--config", str(config_file), "--out", "out"]) == 0
@@ -232,7 +232,39 @@ def test_bad_cell_rejected(config_file):
 
 
 def test_seed_override_changes_hash(tmp_path, config_file):
-    assert main(["run", "--config", str(config_file), "--seed", "77",
-                 "--out", str(tmp_path / "seeded")]) == 0
-    manifest = (tmp_path / "seeded" / "manifest.json").read_text()
-    assert "config_hash" in manifest
+    """Every done entry carries its reuse key, and ``--seed`` changes each one."""
+    keys = {}
+    for name, extra in (("plain", []), ("seeded", ["--seed", "77"])):
+        assert main(["run", "--config", str(config_file), *extra,
+                     "--out", str(tmp_path / name)]) == 0
+        manifest = json.loads((tmp_path / name / "manifest.json").read_text())
+        keys[name] = {entry: manifest[kind][entry]["key"]
+                      for kind in ("blocks", "cells") for entry in manifest[kind]}
+    assert len(keys["plain"]) == 2 + 4
+    assert keys["plain"].keys() == keys["seeded"].keys()
+    assert all(keys["plain"][k] != keys["seeded"][k] for k in keys["plain"])
+
+
+def test_cell_only_settings_refit_no_block(tmp_path, config_file, capsys, monkeypatch):
+    """After a run, another instance cap regenerates the cells but fits no
+    forest; another forest setting refits every block."""
+    grid = (config_file.read_text().replace("tuning = vanilla", "tuning = vanilla,tuned")
+            .replace("methods = whatif,nice_sp", "methods = whatif") + TUNE)
+    config = tmp_path / "grid.cfg"
+    config.write_text(grid)
+    assert main(["run", "--config", str(config)]) == 0
+    fits = count_calls(monkeypatch, forest, "fit_forest")
+    generated = count_calls(monkeypatch, bench, "generate_for_cell")
+    assert main(["explain", "--config", str(config), "--cell", "original:tuned:whatif",
+                 "--max-instances", "2"]) == 0
+    assert fits == []
+    generated.clear()
+    capsys.readouterr()
+    assert main(["run", "--config", str(config), "--max-instances", "2"]) == 0
+    assert "4/4 cells done" in capsys.readouterr().out
+    assert fits == [] and len(generated) == 4
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert all(entry["resumed"] for entry in manifest["blocks"].values())
+    config.write_text(grid.replace("n_trees = 5", "n_trees = 6"))
+    assert main(["run", "--config", str(config), "--max-instances", "2"]) == 0
+    assert len(fits) == 2 + 2 * (2 * 2 + 1)  # vanilla: 1 fit; tuned: 2 folds x 2 points + 1

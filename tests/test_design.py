@@ -3,6 +3,8 @@
 * One atomic writer: ``os.replace`` appears only inside `bench._atomic_write`.
 * One seeding module: numpy's ``default_rng`` and ``SeedSequence`` appear
   only in ``rng.py``, so every Generator comes from its helpers.
+* Two hashes: ``sha256`` is called only in `bench.ExperimentConfig.key`
+  (manifest reuse keys) and `rng.seed_for` (stage seeds).
 """
 
 import ast
@@ -45,6 +47,13 @@ def is_generator_maker(node) -> bool:
             or (isinstance(node, ast.Name) and node.id in names))
 
 
+def is_sha256(node) -> bool:
+    if isinstance(node, ast.alias):
+        return node.name == "sha256"
+    return ((isinstance(node, ast.Attribute) and node.attr == "sha256")
+            or (isinstance(node, ast.Name) and node.id == "sha256"))
+
+
 def test_os_replace_only_in_the_atomic_writer():
     assert references(is_os_replace) == [("bench", "_atomic_write")]
 
@@ -53,3 +62,7 @@ def test_generators_made_only_in_rng():
     found = references(is_generator_maker)
     assert found, "the rule matched nothing; the checker is broken"
     assert {module for module, _ in found} == {"rng"}, found
+
+
+def test_sha256_only_in_reuse_keys_and_stage_seeds():
+    assert references(is_sha256) == [("bench", "ExperimentConfig.key"), ("rng", "seed_for")]
