@@ -13,14 +13,16 @@ cell is independently reproducible and two identical runs emit byte-identical
 CSV outputs.
 
 `Pipeline` holds the two steps of the grid and the output directory's one
-`RunManifest`, into which each step records its entry. Its block step loads or
-fits one (balancing, tuning) forest and writes ``models/``; its cell step
-resumes or generates one cell and writes ``cells/``. `run`, its ``--cell``
-shards and the CLI's ``train`` and ``explain`` all go through these steps, so
-each resumes what an earlier one left in the same output directory. A done
-entry stores its reuse key, `ExperimentConfig.key`, a hash of only the
-settings its files depend on. Every artifact reaches disk through
-`_atomic_write`.
+`RunManifest`, into which each step records and saves its entry. Its block
+step loads or fits one (balancing, tuning) forest and writes ``models/``; its
+cell step resumes or generates one cell and writes ``cells/``. `run`, its
+``--cell`` shards and the CLI's ``train`` and ``explain`` all go through these
+steps, so each resumes what an earlier one left in the same output directory.
+A done entry stores its reuse key, `ExperimentConfig.key`, a hash of only the
+settings its files depend on; a failed entry's files are deleted. `report`
+builds the four aggregate CSVs from the done entries' files alone; `run` ends
+with it, and so do shards followed by the CLI's ``report``. This module owns
+every output path, and every artifact reaches disk through `_atomic_write`.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ TUNED = "tuned"
 TUNING_ALL = (VANILLA, TUNED)
 
 GLOBAL_CELL = Cell("-", "-", "-")
+MANIFEST = "manifest.json"
 
 # No output file depends on where it is written or on which cells an
 # invocation selects, so these fields stay out of every reuse key.
@@ -149,6 +152,10 @@ class ExperimentConfig:
             seed=seed,
         )
 
+    def cells(self) -> list[Cell]:
+        """The configured cells, in config order."""
+        return [Cell(b, t, m) for b in self.balancing for t in self.tuning for m in self.methods]
+
     def key(self, cell: Cell) -> str:
         """The reuse key of ``cell``'s manifest entry: a hash of the cell and of
         the settings its files depend on. A block is ``Cell(b, t, "-")``, and
@@ -235,10 +242,6 @@ class RunManifest:
 
     blocks: dict = field(default_factory=dict)
     cells: dict = field(default_factory=dict)
-
-    def save(self, path) -> None:
-        payload = {"blocks": self.blocks, "cells": self.cells}
-        _atomic_write(Path(path), lambda p: _write_json(p, payload))
 
     @classmethod
     def load(cls, path) -> "RunManifest":
@@ -343,13 +346,31 @@ def fail_predicted_rows(model, test: LabeledDataset, cap: int | None) -> list[in
     return rows if cap is None else rows[:cap]
 
 
+def block_files(out: Path, balancing: str, tuning: str) -> tuple[Path, Path]:
+    """A block's forest dump and its meta: hyperparameters and test metrics."""
+    model = out / "models" / f"{balancing}_{tuning}.forest"
+    return model, model.with_suffix(".json")
+
+
+def cell_files(out: Path, cell: Cell) -> tuple[Path, Path, Path]:
+    """A cell's quality records, counterfactual values and generation metadata."""
+    cells, stem = out / "cells", "_".join(cell)
+    return cells / f"{stem}.csv", cells / f"{stem}.cfs.csv", cells / f"{stem}.meta.jsonl"
+
+
+def _reusable(entry: dict, key: str, files) -> bool:
+    """An entry is reused when it is done under ``key`` and its files exist."""
+    return entry.get("status") == "done" and entry.get("key") == key \
+        and all(p.exists() for p in files)
+
+
 @dataclass(frozen=True)
 class Pipeline:
     """The block and cell steps of one run over one output directory.
 
     ``manifest`` is the directory's one manifest: the one an earlier
-    invocation left in ``out``, else a new one. Each step writes its own
-    entry into it, done or failed, and resumes a block or cell from its files
+    invocation left in ``out``, else a new one. Each step records and saves
+    its own entry, done or failed, and resumes a block or cell from its files
     when its entry is done under the step's reuse key. ``bounds`` are the
     original training-split feature ranges, shared by every cell so that
     distances stay comparable across balancing strategies.
@@ -365,7 +386,7 @@ class Pipeline:
     def open(cls, config: ExperimentConfig) -> "Pipeline":
         """Read the manifest of ``config.output_dir`` and make the run's one split."""
         out = Path(config.output_dir)
-        manifest_path = out / "manifest.json"
+        manifest_path = out / MANIFEST
         manifest = RunManifest()
         if manifest_path.exists():
             try:
@@ -379,32 +400,37 @@ class Pipeline:
         return cls(config, out, manifest, split, bounds)
 
     def save_manifest(self) -> None:
-        self.manifest.save(self.out / "manifest.json")
+        _atomic_write(self.out / MANIFEST, lambda p: _write_json(p, vars(self.manifest)))
+
+    def _record(self, entries: dict, name: str, entry: dict, files) -> dict:
+        """Record ``entry`` under ``name`` and save the manifest. A failed
+        entry's files are deleted first, so none outlives its done entry."""
+        if entry["status"] == "failed":
+            for path in files:
+                path.unlink(missing_ok=True)
+        entries[name] = entry
+        self.save_manifest()
+        return entry
 
     def block(self, balancing: str, tuning: str):
-        """The block's training set, forest, meta (hyperparameters and test
-        metrics) and manifest entry.
+        """The block's training set, forest and manifest entry, which holds
+        the forest's hyperparameters and test metrics.
 
-        The forest is loaded when the manifest marks the block done under the
-        block's key and both ``models/`` files exist. Otherwise it is fit (and
-        tuned), evaluated and saved with its meta, and then the manifest is
-        saved; ``seconds`` cover the fit through the meta write. A failure is
-        recorded and re-raised.
+        The forest is loaded when its entry is reusable. Otherwise it is fit
+        (and tuned), evaluated and saved with its meta; ``seconds`` cover the
+        fit through the meta write. A failure is recorded, also as the failure
+        of each configured cell of the block, and re-raised.
         """
         name = f"{balancing}:{tuning}"
         key = self.config.key(Cell(balancing, tuning, "-"))
-        model_path = self.out / "models" / f"{balancing}_{tuning}.forest"
-        meta_path = model_path.with_suffix(".json")
+        files = model_path, meta_path = block_files(self.out, balancing, tuning)
         prev = self.manifest.blocks.get(name, {})
         try:
             method_train, weights = prepare_training(self.config, self.split.train, balancing)
-            if prev.get("status") == "done" and prev.get("key") == key \
-                    and model_path.exists() and meta_path.exists():
+            if _reusable(prev, key, files):
                 model = forest.load_model(model_path)
-                meta = json.loads(meta_path.read_text())
-                entry = self.manifest.blocks[name] = {**prev, "resumed": True}
-                return method_train, model, meta, entry
-            model_path.parent.mkdir(parents=True, exist_ok=True)
+                entry = self._record(self.manifest.blocks, name, {**prev, "resumed": True}, files)
+                return method_train, model, entry
             t0 = time.perf_counter()
             model, hp = fit_block(self.config, method_train, weights, balancing, tuning)
             metrics = forest.evaluate(model, self.split.test)
@@ -416,50 +442,45 @@ class Pipeline:
             _atomic_write(model_path, lambda p: forest.save_model(model, p))
             _atomic_write(meta_path, lambda p: _write_json(p, meta))
         except Exception as exc:
-            self.manifest.blocks[name] = {"status": "failed", "error": str(exc)}
+            for method in self.config.methods:
+                cell = Cell(balancing, tuning, method)
+                self._record(self.manifest.cells, cell.key(),
+                             {"status": "failed", "error": f"block failed: {exc}"},
+                             cell_files(self.out, cell))
+            self._record(self.manifest.blocks, name, {"status": "failed", "error": str(exc)}, files)
             raise
-        entry = self.manifest.blocks[name] = {
-            "status": "done", "key": key, "seconds": round(time.perf_counter() - t0, 3), **meta}
-        self.save_manifest()
-        return method_train, model, meta, entry
+        entry = self._record(self.manifest.blocks, name, {
+            "status": "done", "key": key, "seconds": round(time.perf_counter() - t0, 3), **meta},
+            files)
+        return method_train, model, entry
 
-    def cell(self, cell: Cell, model, method_train: LabeledDataset, fail_rows):
-        """The cell's quality records, or None if generation failed.
-
-        A cell the manifest marks done under the cell's key, with its three
-        ``cells/`` files, is read back. Otherwise it is generated and the
-        three files are written; ``seconds`` cover exactly that.
-        """
-        name, key, stem = cell.key(), self.config.key(cell), "_".join(cell)
-        cell_file = self.out / "cells" / f"{stem}.csv"
-        cfs_file = self.out / "cells" / f"{stem}.cfs.csv"
-        meta_file = self.out / "cells" / f"{stem}.meta.jsonl"
+    def cell(self, cell: Cell, model, method_train: LabeledDataset, fail_rows) -> None:
+        """Resume the cell when its entry is reusable. Otherwise generate it
+        and write its three ``cells/`` files; ``seconds`` cover exactly that.
+        A failure is recorded, not raised."""
+        name, key = cell.key(), self.config.key(cell)
+        files = cell_file, cfs_file, meta_file = cell_files(self.out, cell)
         prev = self.manifest.cells.get(name, {})
-        if prev.get("status") == "done" and prev.get("key") == key and cell_file.exists() \
-                and cfs_file.exists() and meta_file.exists():
-            self.manifest.cells[name] = {**prev, "resumed": True}
-            return cfeval.read_quality_records(cell_file)
+        if _reusable(prev, key, files):
+            self._record(self.manifest.cells, name, {**prev, "resumed": True}, files)
+            return
         t0 = time.perf_counter()
         try:
             records, items = generate_for_cell(self.config, cell, model, method_train,
                                                self.split.test, self.bounds, fail_rows)
         except Exception as exc:  # noqa: BLE001 - a failing cell must not kill the run
             logger.exception("cell %s failed", name)
-            self.manifest.cells[name] = {"status": "failed", "error": str(exc)}
-            return None
+            self._record(self.manifest.cells, name, {"status": "failed", "error": str(exc)},
+                         files)
+            return
         _atomic_write(cell_file, lambda p: cfeval.write_quality_records(p, records))
         names = self.split.test.feature_names
         # the counterfactual CSV is renamed into place before its metadata stream
         _atomic_write(meta_file, lambda meta_tmp: _atomic_write(
             cfs_file, lambda cfs_tmp: cfgen.write_counterfactuals(cfs_tmp, meta_tmp, names, items)))
-        self.manifest.cells[name] = {
-            "status": "done",
-            "key": key,
-            "requests": len(fail_rows),
-            "count": len(records),
-            "seconds": round(time.perf_counter() - t0, 3),
-        }
-        return records
+        self._record(self.manifest.cells, name, {
+            "status": "done", "key": key, "requests": len(fail_rows), "count": len(records),
+            "seconds": round(time.perf_counter() - t0, 3)}, files)
 
 
 def run(config: ExperimentConfig) -> RunManifest:
@@ -468,39 +489,52 @@ def run(config: ExperimentConfig) -> RunManifest:
     One failing cell is recorded in the manifest and does not abort the rest;
     a failing block fails each of its cells. Completed blocks and cells
     (manifest entry plus artifact files) are resumed on rerun, also when an
-    earlier invocation ran them as ``run --cell`` shards. The aggregate files
-    cover the configured cells; the returned manifest holds every entry of the
-    output directory.
+    earlier invocation ran them as ``run --cell`` shards. The run ends with
+    `report` over the configured cells; the returned manifest holds every
+    entry of the output directory.
     """
     pipe = Pipeline.open(config)
-    (pipe.out / "cells").mkdir(parents=True, exist_ok=True)
-    records_per_cell: dict[Cell, list[cfeval.QualityRecord]] = {}
-    perf_rows = []
     for balancing in config.balancing:
         for tuning in config.tuning:
             try:
-                method_train, model, meta, _ = pipe.block(balancing, tuning)
-                perf_rows.append((balancing, tuning, meta["metrics"]))
-                fail_rows = fail_predicted_rows(model, pipe.split.test,
-                                                config.max_explained_instances)
-                block_error = None
-            except Exception as exc:  # noqa: BLE001 - a failing block must not kill the run
+                method_train, model, _ = pipe.block(balancing, tuning)
+            except Exception:  # noqa: BLE001 - recorded by the block step; the run goes on
                 logger.exception("block %s:%s failed", balancing, tuning)
-                block_error = exc
+                continue
+            fail_rows = fail_predicted_rows(model, pipe.split.test, config.max_explained_instances)
             for method in config.methods:
-                cell = Cell(balancing, tuning, method)
-                if block_error is None:
-                    records = pipe.cell(cell, model, method_train, fail_rows)
-                    if records is not None:
-                        records_per_cell[cell] = records
-                else:
-                    pipe.manifest.cells[cell.key()] = {"status": "failed",
-                                                       "error": f"block failed: {block_error}"}
-                pipe.save_manifest()
-
-    _write_outputs(config, pipe.out, perf_rows, records_per_cell)
-    pipe.save_manifest()
+                pipe.cell(Cell(balancing, tuning, method), model, method_train, fail_rows)
+    report(pipe.out, pipe.manifest, config.cells())
     return pipe.manifest
+
+
+def report(out, manifest: RunManifest, cells) -> None:
+    """Write the four aggregate CSVs of ``cells``, in their order, from the
+    files of their done block and cell entries in ``out``. A done entry whose
+    file is missing raises `FileNotFoundError`, which names the file."""
+    out = Path(out)
+    performance = [["balancing", "tuning", "accuracy", "auc", "f1"]]
+    for balancing, tuning in dict.fromkeys((c.balancing, c.tuning) for c in cells):
+        if manifest.blocks.get(f"{balancing}:{tuning}", {}).get("status") == "done":
+            metrics = json.loads(block_files(out, balancing, tuning)[1].read_text())["metrics"]
+            performance.append([balancing, tuning,
+                                *(repr(metrics[m]) for m in ("accuracy", "auc", "f1"))])
+    records = {cell: cfeval.read_quality_records(cell_files(out, cell)[0])
+               for cell in cells if manifest.cells.get(cell.key(), {}).get("status") == "done"}
+    # methods x tuning rows and balancing columns, each in the order of cells
+    balancings, tunings, methods = (list(dict.fromkeys(c[i] for c in cells)) for i in range(3))
+    sizes = {cell: len(cell_records) for cell, cell_records in records.items()}
+    counts = [["method", "tuning", *balancings]] + [
+        [m, t, *(sizes.get(Cell(b, t, m), "") for b in balancings)]
+        for m in methods for t in tunings]
+    all_records = [r for cell_records in records.values() for r in cell_records]
+    summaries = cfeval.aggregate(all_records) if all_records else []
+    _atomic_write(out / "performance.csv", lambda p: _write_csv(p, performance))
+    _atomic_write(out / "counts.csv", lambda p: _write_csv(p, counts))
+    _atomic_write(out / "quality_records.csv",
+                  lambda p: cfeval.write_quality_records(p, all_records))
+    _atomic_write(out / "cell_summaries.csv",
+                  lambda p: cfeval.write_cell_summaries(p, summaries))
 
 
 def _atomic_write(path: Path, writer) -> None:
@@ -508,6 +542,7 @@ def _atomic_write(path: Path, writer) -> None:
     then rename it into place, so that no reader ever sees a partial artifact.
     The name is unique per process; a writer that raises leaves the old file
     and no temporary file behind."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
         writer(tmp)
@@ -521,45 +556,6 @@ def _write_json(path, payload) -> None:
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _write_performance(path, perf_rows) -> None:
+def _write_csv(path, rows) -> None:
     with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["balancing", "tuning", "accuracy", "auc", "f1"])
-        for balancing, tuning, metrics in perf_rows:
-            writer.writerow([balancing, tuning, repr(metrics["accuracy"]),
-                             repr(metrics["auc"]), repr(metrics["f1"])])
-
-
-def _write_counts(path, config, records_per_cell) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "tuning", *config.balancing])
-        for method in config.methods:
-            for tuning in config.tuning:
-                row = [method, tuning]
-                for balancing in config.balancing:
-                    cell = Cell(balancing, tuning, method)
-                    row.append(len(records_per_cell[cell]) if cell in records_per_cell else "")
-                writer.writerow(row)
-
-
-def write_summaries(path: Path, records) -> int:
-    """Aggregate ``records`` into the cell summaries at ``path``, header only
-    when there are none; returns the number of cells summarized."""
-    summaries = cfeval.aggregate(records) if records else []
-    _atomic_write(path, lambda p: cfeval.write_cell_summaries(p, summaries))
-    return len(summaries)
-
-
-def _write_outputs(config, out: Path, perf_rows, records_per_cell) -> None:
-    _atomic_write(out / "performance.csv", lambda p: _write_performance(p, perf_rows))
-    _atomic_write(out / "counts.csv", lambda p: _write_counts(p, config, records_per_cell))
-
-    all_records = []
-    for balancing in config.balancing:
-        for tuning in config.tuning:
-            for method in config.methods:
-                all_records.extend(records_per_cell.get(Cell(balancing, tuning, method), []))
-    _atomic_write(out / "quality_records.csv",
-                  lambda p: cfeval.write_quality_records(p, all_records))
-    write_summaries(out / "cell_summaries.csv", all_records)
+        csv.writer(fh).writerows(rows)

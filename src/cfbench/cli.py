@@ -2,14 +2,16 @@
 
 Subcommands: ``ingest`` (raw logs -> frame CSV), ``train`` (one block's model
 and test metrics), ``explain`` (one instance, one method, printed diff),
-``run`` (the full benchmark grid), ``report`` (re-aggregate existing records).
+``run`` (the full benchmark grid), ``report`` (rebuild the four aggregate CSVs
+of an output directory).
 
 ``train`` and ``explain`` go through the block step of `bench.Pipeline`, as
 ``run`` does: they reuse a forest in the output directory when its manifest
 marks the block done under the block's reuse key, and otherwise fit it, write
 the same ``models/`` files that ``run`` writes and record the block in the
 manifest. ``run --cell`` shards into one output directory share its manifest
-the same way.
+the same way. ``report`` runs `bench.report`, the step ``run`` ends with, over
+every cell of the directory's manifest in grid order.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from . import bench, cfeval, cfgen
+from . import bench, cfgen
 from .cfeval import Cell
 from .dataset import imbalance_ratio, ingest_oulad
 
@@ -68,9 +70,9 @@ def cmd_ingest(args) -> int:
 def cmd_train(args) -> int:
     config = _load_config(args)
     cell = _parse_cell(args.cell, want_method=False)
-    _, _, meta, entry = bench.Pipeline.open(config).block(cell.balancing, cell.tuning)
-    model_path = Path(config.output_dir) / "models" / f"{cell.balancing}_{cell.tuning}.forest"
-    hp, metrics = meta["hyperparams"], meta["metrics"]
+    _, _, entry = bench.Pipeline.open(config).block(cell.balancing, cell.tuning)
+    model_path, _ = bench.block_files(config.output_dir, cell.balancing, cell.tuning)
+    hp, metrics = entry["hyperparams"], entry["metrics"]
     print(f"cell {cell.balancing}:{cell.tuning}")
     print(f"hyperparams: mtry={hp['mtry']} splitrule={hp['splitrule']} "
           f"min_node_size={hp['min_node_size']} n_trees={hp['n_trees']}")
@@ -83,7 +85,7 @@ def cmd_explain(args) -> int:
     config = _load_config(args)
     cell = _parse_cell(args.cell, want_method=True)
     pipe = bench.Pipeline.open(config)
-    method_train, model, _, _ = pipe.block(cell.balancing, cell.tuning)
+    method_train, model, _ = pipe.block(cell.balancing, cell.tuning)
     split = pipe.split
     fail_rows = bench.fail_predicted_rows(model, split.test, config.max_explained_instances)
     if not fail_rows:
@@ -120,8 +122,7 @@ def cmd_run(args) -> int:
                          methods=(cell.method,))
     manifest = bench.run(config)
     # the manifest also holds the cells of earlier shards; report this invocation's
-    own = [Cell(b, t, m).key() for b in config.balancing for t in config.tuning
-           for m in config.methods]
+    own = [cell.key() for cell in config.cells()]
     failed = [k for k in own if manifest.cells[k].get("status") != "done"]
     print(f"run complete: {len(own) - len(failed)}/{len(own)} cells done; "
           f"outputs in {config.output_dir}")
@@ -131,10 +132,14 @@ def cmd_run(args) -> int:
 
 
 def cmd_report(args) -> int:
-    out = Path(args.out)
-    records = cfeval.read_quality_records(out / "quality_records.csv")
-    n_summaries = bench.write_summaries(out / "cell_summaries.csv", records)
-    print(f"re-aggregated {len(records)} records into {n_summaries} cell summaries")
+    try:
+        manifest = bench.RunManifest.load(Path(args.out) / bench.MANIFEST)
+        cells = [Cell(b, t, m) for b in bench.BALANCING_ALL for t in bench.TUNING_ALL
+                 for m in cfgen.METHODS if Cell(b, t, m).key() in manifest.cells]
+        bench.report(args.out, manifest, cells)
+    except FileNotFoundError as exc:
+        raise SystemExit(f"report: {exc}") from exc
+    print(f"aggregated {len(cells)} cells in {args.out}")
     return 0
 
 
@@ -178,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--full", action="store_true", help="paper-scale forest, tuning, and caps")
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("report", help="re-aggregate quality records in an output directory")
+    p = sub.add_parser("report", help="rebuild the aggregate CSVs of an output directory")
     p.add_argument("--out", required=True, help="output directory of a previous run")
     p.set_defaults(func=cmd_report)
     return parser

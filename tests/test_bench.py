@@ -285,7 +285,8 @@ class TestRun:
 
     def test_failed_rerun_leaves_no_stale_summaries(self, tmp_path):
         """A rerun whose every cell fails rewrites the summaries header-only,
-        matching its empty records, and report still succeeds."""
+        matching its empty records; report then summarizes every done cell of
+        the directory, here the first run's."""
         path = tmp_path / "small.csv"
         make_week_frame(n=40, seed=9, fail_frac=0.12).save_csv(path)
         out = tmp_path / "out"
@@ -298,7 +299,21 @@ class TestRun:
         assert summaries.read_text().splitlines() == [
             "balancing,tuning,method,metric,median,q1,q3,count"]
         assert main(["report", "--out", str(out)]) == 0
-        assert len(summaries.read_text().splitlines()) == 1
+        assert len(summaries.read_text().splitlines()) == 1 + 5  # original:vanilla:whatif
+
+    def test_failed_rerun_deletes_the_failed_entries_files(self, tmp_path):
+        """A block that fails on a rerun takes its model and cell files with
+        it, so no file on disk outlives its done entry."""
+        path = tmp_path / "small.csv"
+        make_week_frame(n=40, seed=9, fail_frac=0.12).save_csv(path)
+        out = tmp_path / "out"
+        config = tiny_config(path, out, balancing=("smote",), smote_k=2)
+        assert run(config).completed_cells() == 1
+        assert len(list(out.rglob("smote_*"))) == 2 + 3
+        manifest = run(replace(config, smote_k=5))
+        assert manifest.blocks["smote:vanilla"]["status"] == "failed"
+        assert manifest.cells["smote:vanilla:whatif"]["status"] == "failed"
+        assert list(out.rglob("smote_*")) == []
 
     def test_master_seed_changes_results(self, frame_csv, tmp_path):
         config_a = tiny_config(frame_csv, tmp_path / "a", methods=("moc",))

@@ -66,6 +66,43 @@ def test_run_and_report(tmp_path, config_file, capsys):
     assert (out_dir / "cell_summaries.csv").read_bytes() == summaries_before
 
 
+def test_run_keeps_config_order_and_report_writes_grid_order(tmp_path, config_file):
+    config = tmp_path / "reversed.cfg"
+    config.write_text(config_file.read_text().replace("balancing = original,undersampling",
+                                                      "balancing = undersampling,original"))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config)]) == 0
+    counts = (out / "counts.csv").read_text().splitlines()
+    assert counts[0] == "method,tuning,undersampling,original"
+    records = (out / "quality_records.csv").read_text().splitlines()
+    assert records[1].startswith("undersampling,")
+    assert main(["report", "--out", str(out)]) == 0
+    reported = (out / "counts.csv").read_text().splitlines()
+    assert reported[0] == "method,tuning,original,undersampling"
+    assert [row.split(",")[2:] for row in reported[1:]] == [
+        row.split(",")[:1:-1] for row in counts[1:]]
+    assert (out / "quality_records.csv").read_text().splitlines()[1].startswith("original,")
+
+
+def test_report_needs_a_manifest(tmp_path):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    with pytest.raises(SystemExit) as exc:
+        main(["report", "--out", str(empty)])
+    assert str(empty / "manifest.json") in str(exc.value.code)
+
+
+def test_report_names_a_missing_cell_file(tmp_path, config_file):
+    """A cell the manifest marks done must have its records; a missing file
+    is an error, never a blank count."""
+    assert main(["run", "--config", str(config_file)]) == 0
+    missing = tmp_path / "out" / "cells" / "undersampling_vanilla_nice_sp.csv"
+    missing.unlink()
+    with pytest.raises(SystemExit) as exc:
+        main(["report", "--out", str(tmp_path / "out")])
+    assert str(missing) in str(exc.value.code)
+
+
 def test_report_replaces_cell_summaries_atomically(tmp_path, config_file, monkeypatch):
     assert main(["run", "--config", str(config_file)]) == 0
     path = tmp_path / "out" / "cell_summaries.csv"
@@ -125,6 +162,9 @@ def count_calls(monkeypatch, module, name) -> list[int]:
     return calls
 
 
+AGGREGATES = ("performance.csv", "counts.csv", "quality_records.csv", "cell_summaries.csv")
+
+
 def output_files(root):
     return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*"))
             if p.is_file() and p.name != "manifest.json"}
@@ -133,8 +173,9 @@ def output_files(root):
 def test_shards_into_one_directory_fit_each_block_once(tmp_path, config_file, capsys,
                                                         monkeypatch):
     """Sequential run --cell shards share the output directory's manifest: they
-    fit each block once, and a final run resumes every block and cell and
-    writes the same files as one run into a fresh directory."""
+    fit each block once, report then writes the aggregates of one run, and a
+    final run resumes every block and cell and writes the same files as one
+    run into a fresh directory."""
     config = tmp_path / "grid.cfg"
     config.write_text(config_file.read_text().replace("tuning = vanilla",
                                                       "tuning = vanilla,tuned") + TUNE)
@@ -150,6 +191,9 @@ def test_shards_into_one_directory_fit_each_block_once(tmp_path, config_file, ca
         assert main(["run", "--config", str(config), "--out", str(shards), "--cell", cell]) == 0
         assert "1/1 cells done" in capsys.readouterr().out
     assert len(fits) == single_fits
+    assert main(["report", "--out", str(shards)]) == 0
+    assert {name: (shards / name).read_bytes() for name in AGGREGATES} == {
+        name: (single / name).read_bytes() for name in AGGREGATES}
     fits.clear()
     generated.clear()
     assert main(["run", "--config", str(config), "--out", str(shards)]) == 0

@@ -5,6 +5,9 @@
   only in ``rng.py``, so every Generator comes from its helpers.
 * Two hashes: ``sha256`` is called only in `bench.ExperimentConfig.key`
   (manifest reuse keys) and `rng.seed_for` (stage seeds).
+* One owner of the output directory's layout: its names (``models``,
+  ``cells``, ``manifest.json`` and the four aggregate CSVs) are string
+  constants only in ``bench.py``.
 """
 
 import ast
@@ -54,6 +57,14 @@ def is_sha256(node) -> bool:
             or (isinstance(node, ast.Name) and node.id == "sha256"))
 
 
+OUTPUT_NAMES = {"models", "cells", "manifest.json", "performance.csv", "counts.csv",
+                "quality_records.csv", "cell_summaries.csv"}
+
+
+def is_output_name(node) -> bool:
+    return isinstance(node, ast.Constant) and node.value in OUTPUT_NAMES
+
+
 def test_os_replace_only_in_the_atomic_writer():
     assert references(is_os_replace) == [("bench", "_atomic_write")]
 
@@ -66,3 +77,9 @@ def test_generators_made_only_in_rng():
 
 def test_sha256_only_in_reuse_keys_and_stage_seeds():
     assert references(is_sha256) == [("bench", "ExperimentConfig.key"), ("rng", "seed_for")]
+
+
+def test_output_names_only_in_bench():
+    found = references(is_output_name)
+    assert found, "the rule matched nothing; the checker is broken"
+    assert {module for module, _ in found} == {"bench"}, found
