@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dataset import PASS, LabeledDataset
-from .distance import RangeTable, gower_cross, gower_many, heom_many
+from .distance import GowerColumns, RangeTable, gower_cross, gower_many, heom_many
 from .rng import spawn_rng
 
 WHATIF = "whatif"
@@ -44,6 +44,7 @@ PROXIMITY = "proximity"
 DEFAULT_WHATIF_K = 10
 PLAUSIBILITY_NEIGHBORS = 5
 _RESET_SHARE = 0.3  # share of mutation events that restore x_j instead of stepping
+_FRONT_CHUNK = 256  # archive rows per dominance check in `_first_front`
 
 
 @dataclass(frozen=True)
@@ -131,18 +132,21 @@ class MocConfig:
                 raise ValueError(f"{name} must lie in (0, 1)")
 
 
-def objectives(x, cands: np.ndarray, model, train: LabeledDataset, ranges: RangeTable):
+def objectives(x, cands: np.ndarray, model, train: LabeledDataset, ranges: RangeTable,
+               columns: GowerColumns | None = None):
     """MOC's four objectives for each row of ``cands`` against the instance ``x``.
 
     Returns the (rows, 4) matrix with columns in `MocObjectives` order and the
     fail probabilities it was computed from. Plausibility is the mean Gower
-    distance to the ``PLAUSIBILITY_NEIGHBORS`` nearest training rows.
+    distance to the ``PLAUSIBILITY_NEIGHBORS`` nearest training rows;
+    ``columns``, when given, is ``GowerColumns.of(train.features)``, prepared
+    once by a caller that evaluates many candidate sets.
     """
     pfail = model.predict_proba_batch(cands)
     o_v = np.maximum(0.0, pfail - 0.5)
     o_p = gower_many(cands, x, ranges)
     o_s = (cands != x).sum(axis=1).astype(np.float64)
-    d = gower_cross(cands, train.features, ranges)
+    d = gower_cross(cands, train.features if columns is None else columns, ranges)
     k = min(PLAUSIBILITY_NEIGHBORS, train.n)
     o_pl = np.partition(d, k - 1, axis=1)[:, :k].mean(axis=1)
     return np.column_stack([o_v, o_p, o_s, o_pl]), pfail
@@ -250,11 +254,40 @@ def nice(req: CfRequest, model, train: LabeledDataset, reward: str,
     )
 
 
+def _dominates(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """dom[i, j]: row i of ``a`` dominates row j of ``b`` (minimization).
+
+    One 2-D comparison pair per objective, so no (len(a), len(b), m) tensor.
+    """
+    le = np.ones((a.shape[0], b.shape[0]), dtype=bool)
+    lt = np.zeros_like(le)
+    for k in range(a.shape[1]):
+        le &= a[:, k, None] <= b[None, :, k]
+        lt |= a[:, k, None] < b[None, :, k]
+    return le & lt
+
+
+def _first_front(obj: np.ndarray) -> np.ndarray:
+    """Front 0 of `_fast_nondominated_sort`, without peeling later fronts.
+
+    A dominator precedes the row it dominates in lexicographic objective
+    order, and every dominated row is dominated by some front-0 row, so rows
+    are taken in that order, ``_FRONT_CHUNK`` at a time, and checked only
+    against the front found so far and their own chunk.
+    """
+    order = np.lexsort(obj.T[::-1])
+    front = np.empty(0, dtype=np.intp)
+    for s in range(0, order.size, _FRONT_CHUNK):
+        chunk = order[s:s + _FRONT_CHUNK]
+        c = obj[chunk]
+        dominated = _dominates(obj[front], c).any(axis=0) | _dominates(c, c).any(axis=0)
+        front = np.concatenate([front, chunk[~dominated]])
+    return np.sort(front)
+
+
 def _fast_nondominated_sort(obj: np.ndarray) -> list[np.ndarray]:
     """Peel minimization fronts: front 0 is dominated by nobody, and so on."""
-    le = (obj[:, None, :] <= obj[None, :, :]).all(axis=2)
-    lt = (obj[:, None, :] < obj[None, :, :]).any(axis=2)
-    dom = le & lt  # dom[i, j]: i dominates j
+    dom = _dominates(obj, obj)
     n_dominators = dom.sum(axis=0)
     fronts = []
     current = np.flatnonzero(n_dominators == 0)
@@ -344,8 +377,10 @@ def moc(req: CfRequest, model, train: LabeledDataset, cfg: MocConfig) -> list[Co
     archive_obj: list[np.ndarray] = []
     archive_birth: list[np.ndarray] = []
 
+    columns = GowerColumns.of(train.features)
+
     def evaluate(cands: np.ndarray, gen: int):
-        obj, pfail = objectives(x, cands, model, train, rt)
+        obj, pfail = objectives(x, cands, model, train, rt, columns)
         valid = pfail < 0.5
         if valid.any():
             archive_rows.append(cands[valid].copy())
@@ -393,7 +428,7 @@ def moc(req: CfRequest, model, train: LabeledDataset, cfg: MocConfig) -> list[Co
     _, first = np.unique(rows, axis=0, return_index=True)
     first.sort()  # keep earliest occurrence, in evaluation order
     rows, objs, births = rows[first], objs[first], births[first]
-    front = _fast_nondominated_sort(objs)[0]
+    front = _first_front(objs)
     order = sorted(
         front.tolist(),
         key=lambda i: (objs[i, 1], objs[i, 2], objs[i, 3], objs[i, 0], rows[i].tobytes()),

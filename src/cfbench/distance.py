@@ -6,6 +6,11 @@ training split and reused everywhere so that distances stay comparable when
 the training composition changes under resampling. Zero-width (constant)
 features contribute nothing to any distance. For Gower, values outside the
 table's range cap their per-feature term at 1, keeping the metric in [0, 1].
+
+Pairwise Gower distances to a fixed row set go through :class:`GowerColumns`,
+which codes each column by its distinct values: the click-count features
+repeat a few dozen values over thousands of rows, so `gower_cross` computes a
+per-feature term once per distinct value and gathers it by code.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ import numpy as np
 GOWER = "gower"
 HEOM = "heom"
 METRICS = (GOWER, HEOM)
+_CROSS_BLOCK = 40_000  # gower_cross accumulator cells per block of rows
 
 
 @dataclass(frozen=True)
@@ -76,25 +82,67 @@ def gower_many(pool, x, ranges: RangeTable) -> np.ndarray:
     return terms.sum(axis=1) / act.sum()
 
 
+@dataclass(frozen=True)
+class GowerColumns:
+    """A fixed row set coded per feature for `gower_cross`.
+
+    ``values[j]`` holds the sorted distinct values of column j and
+    ``codes[j]`` each row's index into them, so ``values[j][codes[j]]`` is the
+    column. Build it once with `of` and reuse it across calls.
+    """
+
+    values: tuple[np.ndarray, ...]
+    codes: np.ndarray  # (p, n) intp
+
+    @classmethod
+    def of(cls, rows) -> "GowerColumns":
+        rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
+        codes = np.empty(rows.shape[::-1], dtype=np.intp)
+        values = []
+        for j in range(rows.shape[1]):
+            v, codes[j] = np.unique(rows[:, j], return_inverse=True)
+            v.setflags(write=False)
+            values.append(v)
+        codes.setflags(write=False)
+        return cls(tuple(values), codes)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.codes.shape[::-1]
+
+
 def gower_cross(rows, others, ranges: RangeTable) -> np.ndarray:
     """Pairwise Gower distances, shape (len(rows), len(others)).
 
-    Accumulates one feature at a time to avoid materializing the full
-    (rows x others x p) difference tensor.
+    ``others`` is an array or a prepared `GowerColumns`. ``rows`` is walked in
+    blocks sized so one (len(others), block) accumulator stays small. Per
+    active feature, in ascending order, the capped terms between the block and
+    that column's distinct values are computed once and gathered to every
+    other row by code, so each distance sums the same terms in the same order
+    as a plain per-pair loop.
     """
     rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-    others = np.atleast_2d(np.asarray(others, dtype=np.float64))
+    if not isinstance(others, GowerColumns):
+        others = GowerColumns.of(others)
     _check(ranges, rows, others)
     active = np.flatnonzero(ranges.active)
-    total = np.zeros((rows.shape[0], others.shape[0]))
-    buf = np.empty_like(total)
-    for j in active:
-        np.subtract(rows[:, j, None], others[None, :, j], out=buf)
-        np.abs(buf, out=buf)
-        buf /= ranges.widths[j]
-        np.minimum(buf, 1.0, out=buf)
-        total += buf
-    return total / active.size
+    n = others.shape[0]
+    step = max(1, _CROSS_BLOCK // max(n, 1))
+    out = np.empty((rows.shape[0], n))
+    for start in range(0, rows.shape[0], step):
+        block = rows[start:start + step]
+        acc = np.zeros((n, block.shape[0]))
+        buf = np.empty_like(acc)
+        for j in active:
+            terms = np.abs(others.values[j][:, None] - block[None, :, j])
+            terms /= ranges.widths[j]
+            np.minimum(terms, 1.0, out=terms)
+            # codes are always in range; the default "raise" mode would buffer out
+            np.take(terms, others.codes[j], axis=0, out=buf, mode="clip")
+            acc += buf
+        out[start:start + step] = acc.T
+    out /= active.size
+    return out
 
 
 def heom_many(pool, x, ranges: RangeTable) -> np.ndarray:

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from cfbench import cfgen
 from cfbench.balance import ClassWeights
 from cfbench.cfgen import (
     NICE_PR,
@@ -20,7 +21,7 @@ from cfbench.cfgen import (
     write_counterfactuals,
 )
 from cfbench.dataset import FAIL, PASS, LabeledDataset
-from cfbench.distance import RangeTable, gower
+from cfbench.distance import GowerColumns, RangeTable, gower
 from cfbench.forest import Hyperparams, fit_forest
 
 from conftest import StubModel
@@ -293,6 +294,37 @@ def assert_front_nondominated(cfs):
             assert not dominates, f"{a} dominates {b}"
 
 
+def brute_dominates(a, b):
+    return all(x <= y for x, y in zip(a, b)) and any(x < y for x, y in zip(a, b))
+
+
+def tied_objectives(rng, n):
+    """Integer objectives with many ties and some duplicate rows."""
+    obj = rng.integers(0, 4, size=(n, 4)).astype(float)
+    return obj[rng.integers(0, n, size=n)]
+
+
+class TestNondominatedSort:
+    @pytest.mark.parametrize("n", [1, 2, 17, 60, 300])
+    def test_fronts_match_pairwise_oracle(self, n):
+        rng = np.random.default_rng(n)
+        obj = tied_objectives(rng, n)
+        fronts = cfgen._fast_nondominated_sort(obj)
+        assert np.array_equal(np.sort(np.concatenate(fronts)), np.arange(n))
+        for k, front in enumerate(fronts):
+            assert np.array_equal(front, np.sort(front))
+            for i in front:
+                assert not any(brute_dominates(obj[j], obj[i]) for j in front)
+                if k:
+                    assert any(brute_dominates(obj[j], obj[i]) for j in fronts[k - 1])
+
+    @pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 700])
+    def test_first_front_is_front_zero(self, n):
+        rng = np.random.default_rng(100 + n)
+        for obj in (tied_objectives(rng, n), rng.random((n, 4)).round(2)):
+            assert np.array_equal(cfgen._first_front(obj), cfgen._fast_nondominated_sort(obj)[0])
+
+
 class TestMoc:
     def test_one_dim_validity_and_boundary(self):
         model, train, req, cfg = one_dim_setup(seed=5)
@@ -317,6 +349,29 @@ class TestMoc:
         for ca, cb in zip(a, b):
             np.testing.assert_array_equal(ca.values, cb.values)
             assert ca.generation_meta == cb.generation_meta
+
+    def test_prepared_columns_match_raw_features(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        rows = rng.integers(0, 15, size=(40, 3)).astype(float)
+        model = StubModel(lambda r: 1.0 if r[0] + r[1] < 16 else 0.0, p=3)
+        train = LabeledDataset.from_arrays(rows, [PASS if r[0] + r[1] >= 16 else FAIL for r in rows])
+        req = CfRequest.for_instance(np.array([2.0, 3.0, 7.0]), train)
+        cfg = MocConfig(population=30, generations=12, seed=9)
+        prepared = moc(req, model, train, cfg)
+        raw_objectives, calls = cfgen.objectives, []
+
+        def without_columns(x, cands, model, train, ranges, columns):
+            assert isinstance(columns, GowerColumns)
+            calls.append(cands.shape[0])
+            return raw_objectives(x, cands, model, train, ranges)
+
+        monkeypatch.setattr(cfgen, "objectives", without_columns)
+        raw = moc(req, model, train, cfg)
+        assert calls == [30] * 13
+        assert prepared and len(prepared) == len(raw)
+        for a, b in zip(prepared, raw):
+            assert np.array_equal(a.values, b.values)
+            assert a.generation_meta == b.generation_meta
 
     def test_mask_and_bounds_respected(self):
         model = StubModel(lambda r: 1.0 if r[0] < 10 else 0.0, p=2)

@@ -3,7 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from cfbench.distance import GOWER, HEOM, RangeTable, gower, gower_many, heom_many, k_nearest
+from cfbench import distance
+from cfbench.distance import (
+    GOWER,
+    HEOM,
+    GowerColumns,
+    RangeTable,
+    gower,
+    gower_cross,
+    gower_many,
+    heom_many,
+    k_nearest,
+)
 
 
 def rt(*widths):
@@ -161,3 +172,88 @@ class TestVectorizedHelpers:
         np.testing.assert_allclose(
             heom_many(pool, x, table), [brute_heom(row, x, table.widths) for row in pool]
         )
+
+
+def loop_gower_cross(rows, others, ranges):
+    """Reference: the per-feature loop over full (rows, others) buffers that
+    the column-code kernel replaced; the kernel must equal it bit for bit."""
+    rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
+    others = np.atleast_2d(np.asarray(others, dtype=np.float64))
+    active = np.flatnonzero(ranges.active)
+    total = np.zeros((rows.shape[0], others.shape[0]))
+    buf = np.empty_like(total)
+    for j in active:
+        np.subtract(rows[:, j, None], others[None, :, j], out=buf)
+        np.abs(buf, out=buf)
+        buf /= ranges.widths[j]
+        np.minimum(buf, 1.0, out=buf)
+        total += buf
+    return total / active.size
+
+
+def count_rows(rng, n, p):
+    """Click-count-like rows: few distinct integers per column, duplicate rows."""
+    rows = rng.integers(0, 12, size=(n, p)).astype(float)
+    return rows[rng.integers(0, n, size=n)]
+
+
+class TestGowerCross:
+    def table(self, rng, p):
+        widths = rng.uniform(2.0, 12.0, size=p)
+        widths[1] = 0.0  # one zero-width feature
+        return RangeTable(widths)
+
+    def test_matches_loop_on_counts_and_reals(self):
+        rng = np.random.default_rng(41)
+        table = self.table(rng, 7)
+        others = count_rows(rng, 90, 7)
+        others[:, 3] += rng.normal(0.0, 0.3, size=90)  # a non-integer column
+        rows = np.vstack([
+            count_rows(rng, 30, 7),
+            rng.uniform(-30.0, 40.0, size=(20, 7)),  # far outside the ranges: terms cap at 1
+            others[:5],  # rows equal to rows of others
+        ])
+        got = gower_cross(rows, others, table)
+        assert np.array_equal(got, loop_gower_cross(rows, others, table))
+        assert got.shape == (55, 90)
+        assert got.max() <= 1.0 and (got[30:50] > 0.5).any()
+
+    def test_block_boundary_row_counts(self):
+        rng = np.random.default_rng(43)
+        table = self.table(rng, 5)
+        others = count_rows(rng, 400, 5)
+        step = max(1, distance._CROSS_BLOCK // others.shape[0])
+        assert step > 2
+        for m in (1, step - 1, step, step + 1, 2 * step + 3):
+            rows = rng.uniform(-2.0, 14.0, size=(m, 5)).round(1)
+            got = gower_cross(rows, others, table)
+            assert np.array_equal(got, loop_gower_cross(rows, others, table)), m
+
+    def test_single_other_row(self):
+        rng = np.random.default_rng(47)
+        table = self.table(rng, 4)
+        rows = rng.uniform(0.0, 12.0, size=(9, 4))
+        for other in (rows[3], rows[3:4]):
+            got = gower_cross(rows, other, table)
+            assert got.shape == (9, 1)
+            assert np.array_equal(got, loop_gower_cross(rows, other, table))
+        assert gower_cross(rows, rows[3], table)[3, 0] == 0.0
+
+    def test_prepared_columns_equal_raw_array(self):
+        rng = np.random.default_rng(53)
+        table = self.table(rng, 6)
+        others = count_rows(rng, 120, 6)
+        cols = GowerColumns.of(others)
+        assert cols.shape == others.shape
+        for j in range(6):
+            assert np.array_equal(cols.values[j][cols.codes[j]], others[:, j])
+        rows = count_rows(rng, 40, 6)
+        assert np.array_equal(gower_cross(rows, cols, table), gower_cross(rows, others, table))
+
+    def test_errors(self):
+        with pytest.raises(ValueError, match="dimension"):
+            gower_cross(np.zeros((2, 3)), np.zeros((4, 2)), rt(1, 1))
+        with pytest.raises(ValueError, match="dimension"):
+            gower_cross(np.zeros((2, 3)), GowerColumns.of(np.zeros((4, 2))), rt(1, 1, 1))
+        with pytest.raises(ValueError, match="zero width"):
+            gower_cross(np.zeros((2, 2)), np.ones((3, 2)), rt(0, 0))
