@@ -414,7 +414,9 @@ class Pipeline:
 
     def block(self, balancing: str, tuning: str):
         """The block's training set, forest and manifest entry, which holds
-        the forest's hyperparameters and test metrics.
+        the forest's hyperparameters and test metrics, its ``trees`` and
+        ``nodes``, and ``tune_fits``, the forests fit while tuning it (grid
+        points x folds x repeats, 0 for vanilla).
 
         The forest is loaded when its entry is reusable. Otherwise it is fit
         (and tuned), evaluated and saved with its meta; ``seconds`` cover the
@@ -434,6 +436,8 @@ class Pipeline:
             t0 = time.perf_counter()
             model, hp = fit_block(self.config, method_train, weights, balancing, tuning)
             metrics = forest.evaluate(model, self.split.test)
+            tune_fits = 0 if tuning == VANILLA else len(self.config.grid(method_train.p)) \
+                * self.config.tune_folds * self.config.tune_repeats
             meta = {
                 "hyperparams": {"mtry": hp.mtry, "splitrule": hp.splitrule,
                                 "min_node_size": hp.min_node_size, "n_trees": hp.n_trees},
@@ -450,8 +454,9 @@ class Pipeline:
             self._record(self.manifest.blocks, name, {"status": "failed", "error": str(exc)}, files)
             raise
         entry = self._record(self.manifest.blocks, name, {
-            "status": "done", "key": key, "seconds": round(time.perf_counter() - t0, 3), **meta},
-            files)
+            "status": "done", "key": key, "seconds": round(time.perf_counter() - t0, 3),
+            "trees": model.n_trees, "nodes": int(model.table.feature.size), "tune_fits": tune_fits,
+            **meta}, files)
         return method_train, model, entry
 
     def cell(self, cell: Cell, model, method_train: LabeledDataset, fail_rows) -> None:

@@ -1,11 +1,12 @@
 """Random forests of CART trees grown from scratch.
 
-Split rules: ``gini`` scans every midpoint of sorted unique values for the
-impurity minimum; ``extratrees`` draws one uniform-random threshold per
-candidate feature inside the node's value range. Class weights enter twice,
-mirroring weighted-forest practice: as weighted Gini impurity and as weighted
-bootstrap sampling probabilities. Leaf probabilities are plain within-leaf
-class fractions of the bootstrap sample.
+Split rules: ``gini`` scores each boundary between distinct sorted values of
+the candidate features and splits at the midpoint of the impurity minimum;
+``extratrees`` draws one uniform-random threshold per candidate feature
+inside the node's value range. Class weights enter twice, mirroring
+weighted-forest practice: as weighted Gini impurity and as weighted bootstrap
+sampling probabilities. Leaf probabilities are plain within-leaf class
+fractions of the bootstrap sample.
 
 Everything is deterministic given the fitting seed: each tree draws from its
 own RNG stream spawned from (seed, tree index), so a fitted prefix of a
@@ -188,37 +189,40 @@ def _split_gini(V, y, w):
     """Best midpoint split over the candidate columns of V.
 
     Returns (column, threshold) minimizing the weighted Gini impurity of the
-    children, or None when no column has two distinct values. ``w`` is the
-    per-row weight vector, or None for the unweighted fast path (identical
-    arithmetic with implicit unit weights).
+    children, or None when no column has two distinct values. Only the
+    boundaries between distinct sorted values are scored; ties go to the
+    first in (position, column) order. ``w`` is the per-row weight vector,
+    or None for the unweighted fast path (identical arithmetic with implicit
+    unit weights).
     """
-    m = V.shape[0]
-    order = np.argsort(V, axis=0, kind="stable")
-    sv = np.take_along_axis(V, order, axis=0)
-    valid = sv[1:] > sv[:-1]
-    if not valid.any():
+    m, mtry = V.shape
+    # unit-weight sums at a boundary are exact in any order within ties, so
+    # only the weighted path needs the stable sort
+    order = V.argsort(axis=0, kind=None if w is None else "stable")
+    sv = V[order, np.arange(mtry)]
+    # flat (pos, col) indices of (m - 1, mtry) boundaries, in C order; a
+    # boundary's flat index in the (m, mtry) cumulative sums is the same
+    valid = np.flatnonzero(sv[1:] > sv[:-1])
+    if not valid.size:
         return None
     if w is None:
-        cf = np.cumsum(y[order], axis=0)
-        cw = np.arange(1.0, m + 1.0)[:, None]
+        fl = y[order].cumsum(axis=0).ravel()[valid]
+        wl = valid // mtry + 1  # rows up to boundary pos: pos + 1
         total_w = float(m)
         total_f = float(y.sum())
     else:
-        cf = np.cumsum((w * y)[order], axis=0)
-        cw = np.cumsum(w[order], axis=0)
+        fl = (w * y)[order].cumsum(axis=0).ravel()[valid]
+        wl = w[order].cumsum(axis=0).ravel()[valid]
         total_w = float(w.sum())
         total_f = float((w * y).sum())
-    wl, fl = cw[:-1], cf[:-1]
     wr, fr = total_w - wl, total_f - fl
     score = (wl - (fl * fl + (wl - fl) ** 2) / wl) + (wr - (fr * fr + (wr - fr) ** 2) / wr)
-    score = np.where(valid, score, np.inf)
-    flat = int(np.argmin(score))
-    pos, col = np.unravel_index(flat, score.shape)
+    pos, col = divmod(int(valid[score.argmin()]), mtry)
     a, b = float(sv[pos, col]), float(sv[pos + 1, col])
     thr = 0.5 * (a + b)
     if not a <= thr < b:  # midpoint rounded onto an endpoint
         thr = a
-    return int(col), thr
+    return col, thr
 
 
 def _split_extratrees(V, y, w, rng):
@@ -227,32 +231,32 @@ def _split_extratrees(V, y, w, rng):
     Thresholds are forced strictly inside the node's value range so both
     children are non-empty; constant columns are skipped.
     """
-    lo = V.min(axis=0)
-    hi = V.max(axis=0)
-    u = rng.random(V.shape[1])
-    thr = lo + u * (hi - lo)
-    thr = np.where(thr <= lo, np.nextafter(lo, hi), thr)
-    thr = np.where(thr >= hi, np.nextafter(hi, lo), thr)
+    m, mtry = V.shape
+    VT = V.T.copy()  # reducing rows is faster than reducing columns
+    lo, hi = VT.min(axis=1), VT.max(axis=1)
+    thr = lo + rng.random(mtry) * (hi - lo)
     ok = (thr > lo) & (thr < hi)
-    if not ok.any():
-        return None
-    left = V <= thr
+    if not ok.all():  # a constant column, or a threshold rounded onto an end
+        thr = np.where(thr <= lo, np.nextafter(lo, hi), thr)
+        thr = np.where(thr >= hi, np.nextafter(hi, lo), thr)
+        ok = (thr > lo) & (thr < hi)
+        if not ok.any():
+            return None
     if w is None:
-        wl = left.sum(axis=0).astype(np.float64)
-        fl = y @ left
-        total_w = float(V.shape[0])
-        total_f = float(y.sum())
-    else:
-        wl = w @ left
-        fl = (w * y) @ left
-        total_w = float(w.sum())
-        total_f = float((w * y).sum())
+        w = np.ones(m)  # sums of unit weights are exact counts in any order
+    left = V <= thr
+    # BLAS gemv sums in an order set by the BLAS kernel and the operand layout,
+    # so weighted trees reproduce only on the same BLAS build and CPU, and V
+    # (with it `left`) must stay C-contiguous (m, mtry)
+    wl = w @ left
+    fl = (w * y) @ left
+    total_w = float(w.sum())
+    total_f = float((w * y).sum())
     wl = np.where(ok, wl, 1.0)  # avoid 0/0 on masked columns
     wr = np.where(ok, total_w - wl, 1.0)
     fr = total_f - fl
     score = (wl - (fl * fl + (wl - fl) ** 2) / wl) + (wr - (fr * fr + (wr - fr) ** 2) / wr)
-    score = np.where(ok, score, np.inf)
-    col = int(np.argmin(score))
+    col = int(np.where(ok, score, np.inf).argmin())
     return col, float(thr[col])
 
 
@@ -263,18 +267,12 @@ def _grow_tree(X, y, w, hp: Hyperparams, rng) -> Tree:
     split become leaves. Children are explored left-first so node numbering
     and RNG consumption are deterministic.
     """
-    p = X.shape[1]
-    feature, threshold, left, right, p_fail = [], [], [], [], []
-
-    def new_node() -> int:
-        feature.append(-1)
-        threshold.append(math.nan)
-        left.append(-1)
-        right.append(-1)
-        p_fail.append(math.nan)
-        return len(feature) - 1
-
-    stack = [(np.arange(X.shape[0]), new_node())]
+    n, p = X.shape
+    cap = 2 * n - 1  # every leaf holds a row, so a tree has at most 2n - 1 nodes
+    feature, left, right = [-1] * cap, [-1] * cap, [-1] * cap
+    threshold, p_fail = [math.nan] * cap, [math.nan] * cap
+    size = 1
+    stack = [(np.arange(n), 0)]
     while stack:
         idx, slot = stack.pop()
         yn = y[idx]
@@ -284,7 +282,7 @@ def _grow_tree(X, y, w, hp: Hyperparams, rng) -> Tree:
             p_fail[slot] = fails / m
             continue
         feats = rng.choice(p, size=hp.mtry, replace=False)
-        V = X[np.ix_(idx, feats)]
+        V = X.take(idx, 0).take(feats, 1)  # C-contiguous (m, mtry)
         wn = w[idx] if w is not None else None
         if hp.splitrule == GINI:
             res = _split_gini(V, yn, wn)
@@ -294,22 +292,19 @@ def _grow_tree(X, y, w, hp: Hyperparams, rng) -> Tree:
             p_fail[slot] = fails / m
             continue
         col, thr = res
-        f_global = int(feats[col])
-        go_left = X[idx, f_global] <= thr
-        li, ri = new_node(), new_node()
-        feature[slot] = f_global
-        threshold[slot] = thr
-        left[slot] = li
-        right[slot] = ri
-        stack.append((idx[~go_left], ri))
-        stack.append((idx[go_left], li))
+        go_left = V[:, col] <= thr
+        feature[slot], threshold[slot] = int(feats[col]), thr
+        left[slot], right[slot] = size, size + 1
+        stack.append((idx[~go_left], size + 1))
+        stack.append((idx[go_left], size))
+        size += 2
 
     return Tree(
-        feature=np.asarray(feature, dtype=np.int32),
-        threshold=np.asarray(threshold, dtype=np.float64),
-        left=np.asarray(left, dtype=np.int32),
-        right=np.asarray(right, dtype=np.int32),
-        p_fail=np.asarray(p_fail, dtype=np.float64),
+        feature=np.array(feature[:size], dtype=np.int32),
+        threshold=np.array(threshold[:size], dtype=np.float64),
+        left=np.array(left[:size], dtype=np.int32),
+        right=np.array(right[:size], dtype=np.int32),
+        p_fail=np.array(p_fail[:size], dtype=np.float64),
     )
 
 

@@ -27,7 +27,7 @@ from cfbench.cfeval import Cell, QualityRecord
 from cfbench.cfgen import METHODS
 from cfbench.cli import main
 from cfbench.distance import RangeTable, gower, gower_many
-from cfbench.forest import RandomForestModel
+from cfbench.forest import RandomForestModel, load_model
 
 from synth import make_week_frame
 
@@ -282,6 +282,21 @@ class TestRun:
             Cell("original", "vanilla", "whatif"))
         # the manifest names no location, so it holds for any spelling of out
         assert str(tmp_path) not in (out / "manifest.json").read_text()
+
+    def test_block_entries_count_trees_nodes_and_tune_fits(self, frame_csv, tmp_path):
+        out = tmp_path / "out"
+        config = tiny_config(frame_csv, out, tuning=("vanilla", "tuned"), tune_folds=3,
+                             tune_mtry=(2, 6), tune_min_node_size=(1, 5))
+        blocks = run(config).blocks
+        for tuning, fits in (("vanilla", 0), ("tuned", 2 * 2 * 3)):
+            entry = blocks[f"original:{tuning}"]
+            model = load_model(out / "models" / f"original_{tuning}.forest")
+            assert entry["trees"] == model.n_trees == 5
+            assert entry["nodes"] == sum(t.feature.size for t in model.trees)
+            assert entry["tune_fits"] == fits
+        resumed = run(config).blocks
+        for name, entry in blocks.items():
+            assert resumed[name] == {**entry, "resumed": True}
 
     def test_failed_rerun_leaves_no_stale_summaries(self, tmp_path):
         """A rerun whose every cell fails rewrites the summaries header-only,

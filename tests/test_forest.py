@@ -3,11 +3,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cfbench.balance import ClassWeights, cost_weights
 from cfbench.bench import ExperimentConfig, fail_predicted_rows
 from cfbench.dataset import FAIL, PASS, LabeledDataset
 from cfbench.forest import (
+    EXTRATREES,
+    GINI,
     CvSpec,
     Hyperparams,
     RandomForestModel,
@@ -22,6 +26,7 @@ from cfbench.forest import (
     tune,
     vanilla_hyperparams,
 )
+from cfbench.rng import stream_rngs
 
 from synth import make_blobs
 
@@ -68,6 +73,203 @@ def trees_equal(a, b):
         and np.array_equal(a.right, b.right)
         and np.array_equal(a.p_fail, b.p_fail, equal_nan=True)
     )
+
+
+def ref_split_gini(V, y, w):
+    """Reference gini split: scores every adjacent pair of sorted values and
+    masks the ones that are not a boundary between distinct values."""
+    m = V.shape[0]
+    order = np.argsort(V, axis=0, kind="stable")
+    sv = np.take_along_axis(V, order, axis=0)
+    valid = sv[1:] > sv[:-1]
+    if not valid.any():
+        return None
+    if w is None:
+        cf = np.cumsum(y[order], axis=0)
+        cw = np.arange(1.0, m + 1.0)[:, None]
+        total_w = float(m)
+        total_f = float(y.sum())
+    else:
+        cf = np.cumsum((w * y)[order], axis=0)
+        cw = np.cumsum(w[order], axis=0)
+        total_w = float(w.sum())
+        total_f = float((w * y).sum())
+    wl, fl = cw[:-1], cf[:-1]
+    wr, fr = total_w - wl, total_f - fl
+    score = (wl - (fl * fl + (wl - fl) ** 2) / wl) + (wr - (fr * fr + (wr - fr) ** 2) / wr)
+    score = np.where(valid, score, np.inf)
+    flat = int(np.argmin(score))
+    pos, col = np.unravel_index(flat, score.shape)
+    a, b = float(sv[pos, col]), float(sv[pos + 1, col])
+    thr = 0.5 * (a + b)
+    if not a <= thr < b:
+        thr = a
+    return int(col), thr
+
+
+def ref_split_extratrees(V, y, w, rng):
+    """Reference extratrees split: every threshold nudged, every column scored."""
+    lo = V.min(axis=0)
+    hi = V.max(axis=0)
+    u = rng.random(V.shape[1])
+    thr = lo + u * (hi - lo)
+    thr = np.where(thr <= lo, np.nextafter(lo, hi), thr)
+    thr = np.where(thr >= hi, np.nextafter(hi, lo), thr)
+    ok = (thr > lo) & (thr < hi)
+    if not ok.any():
+        return None
+    left = V <= thr
+    if w is None:
+        wl = left.sum(axis=0).astype(np.float64)
+        fl = y @ left
+        total_w = float(V.shape[0])
+        total_f = float(y.sum())
+    else:
+        wl = w @ left
+        fl = (w * y) @ left
+        total_w = float(w.sum())
+        total_f = float((w * y).sum())
+    wl = np.where(ok, wl, 1.0)
+    wr = np.where(ok, total_w - wl, 1.0)
+    fr = total_f - fl
+    score = (wl - (fl * fl + (wl - fl) ** 2) / wl) + (wr - (fr * fr + (wr - fr) ** 2) / wr)
+    score = np.where(ok, score, np.inf)
+    col = int(np.argmin(score))
+    return col, float(thr[col])
+
+
+def ref_grow_tree(X, y, w, hp, rng):
+    """Reference grower: one `np.ix_` gather per node and a node list grown
+    by appends. The grower in `forest` must give the same trees."""
+    p = X.shape[1]
+    feature, threshold, left, right, p_fail = [], [], [], [], []
+
+    def new_node():
+        feature.append(-1)
+        threshold.append(math.nan)
+        left.append(-1)
+        right.append(-1)
+        p_fail.append(math.nan)
+        return len(feature) - 1
+
+    stack = [(np.arange(X.shape[0]), new_node())]
+    while stack:
+        idx, slot = stack.pop()
+        yn = y[idx]
+        fails = float(yn.sum())
+        m = idx.size
+        if m < hp.min_node_size or fails == 0.0 or fails == m:
+            p_fail[slot] = fails / m
+            continue
+        feats = rng.choice(p, size=hp.mtry, replace=False)
+        V = X[np.ix_(idx, feats)]
+        wn = w[idx] if w is not None else None
+        if hp.splitrule == GINI:
+            res = ref_split_gini(V, yn, wn)
+        else:
+            res = ref_split_extratrees(V, yn, wn, rng)
+        if res is None:
+            p_fail[slot] = fails / m
+            continue
+        col, thr = res
+        f_global = int(feats[col])
+        go_left = X[idx, f_global] <= thr
+        li, ri = new_node(), new_node()
+        feature[slot] = f_global
+        threshold[slot] = thr
+        left[slot] = li
+        right[slot] = ri
+        stack.append((idx[~go_left], ri))
+        stack.append((idx[go_left], li))
+
+    return Tree(
+        feature=np.asarray(feature, dtype=np.int32),
+        threshold=np.asarray(threshold, dtype=np.float64),
+        left=np.asarray(left, dtype=np.int32),
+        right=np.asarray(right, dtype=np.int32),
+        p_fail=np.asarray(p_fail, dtype=np.float64),
+    )
+
+
+def ref_forest(ds, hp, weights, seed):
+    """`fit_forest`'s trees, grown by `ref_grow_tree`."""
+    X = ds.features
+    y01 = (ds.labels == FAIL).astype(np.float64)
+    w_row = None if weights.is_unit else weights.per_row(ds.labels)
+    trees = []
+    for rng in stream_rngs(seed, hp.n_trees):
+        if w_row is None:
+            idxb = rng.choice(ds.n, size=ds.n, replace=True)
+        else:
+            idxb = rng.choice(ds.n, size=ds.n, replace=True, p=w_row / w_row.sum())
+        wb = None if w_row is None else w_row[idxb]
+        trees.append(ref_grow_tree(X[idxb], y01[idxb], wb, hp, rng))
+    return trees
+
+
+# 1 + k ulp: the midpoint of the last two rounds up onto the larger one
+ADJACENT = [1.0 + k * 2.0 ** -52 for k in range(4)]
+
+
+@st.composite
+def grower_cases(draw):
+    """A tie-heavy dataset and grower settings for the reference comparison.
+
+    Columns are small integers, one constant, a mix of -0.0 and 0.0,
+    adjacent floats, reals, or the negation of the first column (equal
+    scores at mirrored positions). Rows are drawn from a smaller set of
+    distinct rows, so most datasets hold duplicate rows.
+    """
+    n = draw(st.integers(2, 200))
+    p = draw(st.integers(1, 5))
+    distinct = draw(st.integers(1, n))
+    columns = []
+    for j in range(p):
+        kind = draw(st.sampled_from(["ints", "const", "zeros", "adjacent", "reals", "negated"]))
+        if kind == "negated" and j > 0:
+            columns.append(-columns[0])
+            continue
+        values = {"ints": st.integers(0, 3).map(float),
+                  "const": st.just(2.0),
+                  "zeros": st.sampled_from([-0.0, 0.0, 1.0]),
+                  "adjacent": st.sampled_from(ADJACENT),
+                  "reals": st.floats(-5.0, 5.0),
+                  "negated": st.integers(0, 1).map(float)}[kind]
+        columns.append(np.array(draw(st.lists(values, min_size=distinct, max_size=distinct))))
+    rows = draw(st.lists(st.integers(0, distinct - 1), min_size=n, max_size=n))
+    X = np.column_stack(columns)[rows]
+    fails = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    ds = LabeledDataset.from_arrays(X, np.where(fails, FAIL, PASS))
+    weighted = draw(st.booleans()) and 0 < sum(fails) < n
+    hp = Hyperparams(mtry=min(draw(st.sampled_from([1, 2, p])), p),
+                     splitrule=draw(st.sampled_from([GINI, EXTRATREES])),
+                     min_node_size=draw(st.sampled_from([1, 5])), n_trees=3)
+    return ds, hp, cost_weights(ds) if weighted else ClassWeights.unit(), draw(st.integers(0, 99))
+
+
+class TestGrowerOracle:
+    """The grower against the reference implementation above, tree for tree."""
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    @given(grower_cases())
+    def test_trees_equal_reference(self, case):
+        ds, hp, weights, seed = case
+        got = fit_forest(ds, hp, weights, seed).trees
+        want = ref_forest(ds, hp, weights, seed)
+        assert all(trees_equal(a, b) for a, b in zip(got, want))
+
+    def test_reference_on_paper_like_counts(self):
+        """Click-count columns at a few hundred rows, both rules, both weightings."""
+        ds = make_blobs(n=300, p=8, seed=44, separation=0.7)
+        ds = LabeledDataset.from_arrays(np.rint(np.abs(ds.features) * 4.0), ds.labels)
+        for rule in (GINI, EXTRATREES):
+            for weights in (ClassWeights.unit(), cost_weights(ds)):
+                for mtry, min_node in ((1, 1), (3, 5), (8, 1)):
+                    hp = Hyperparams(mtry, rule, min_node, n_trees=4)
+                    got = fit_forest(ds, hp, weights, seed=11).trees
+                    want = ref_forest(ds, hp, weights, seed=11)
+                    assert all(trees_equal(a, b) for a, b in zip(got, want)), (rule, weights, mtry)
 
 
 class TestFit:
