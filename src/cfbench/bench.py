@@ -41,8 +41,8 @@ import numpy as np
 
 from . import balance, cfgen, cfeval, forest
 from .cfeval import Cell
-from .dataset import (FRAME_COLUMNS, ID_COLUMN, LabeledDataset, SplitResult, ingest_oulad,
-                      load_csv, stratified_split)
+from .dataset import (FRAME_COLUMNS, LabeledDataset, SplitResult, ingest_oulad, load_csv,
+                      stratified_split)
 from .distance import RangeTable
 from .rng import seed_for
 
@@ -245,24 +245,22 @@ class RunManifest:
 
     @classmethod
     def load(cls, path) -> "RunManifest":
-        raw = json.loads(Path(path).read_text())
+        """Read ``path``; `ValueError`, naming the file, when it is not a JSON object."""
+        try:
+            raw = json.loads(Path(path).read_text())
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not a JSON object: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise ValueError(f"{path}: not a JSON object")
         return cls(blocks=raw.get("blocks", {}), cells=raw.get("cells", {}))
 
     def completed_cells(self) -> int:
         return sum(1 for c in self.cells.values() if c.get("status") == "done")
 
 
-def load_frame(path) -> LabeledDataset:
-    """Load an ingested frame CSV, keeping the id column when present."""
-    with Path(path).open() as fh:
-        header = fh.readline().strip().split(",")
-    id_column = ID_COLUMN if ID_COLUMN in header else None
-    return load_csv(path, FRAME_COLUMNS, id_column=id_column)
-
-
 def load_data(config: ExperimentConfig) -> LabeledDataset:
     if config.frame_csv is not None:
-        return load_frame(config.frame_csv)
+        return load_csv(config.frame_csv, FRAME_COLUMNS)
     return ingest_oulad(config.oulad_dir, config.course, config.presentations)
 
 
@@ -391,13 +389,12 @@ class Pipeline:
         if manifest_path.exists():
             try:
                 manifest = RunManifest.load(manifest_path)
-            except (ValueError, AttributeError):
+            except ValueError:
                 logger.warning("ignoring unreadable manifest at %s", manifest_path)
         data = load_data(config)
         split = stratified_split(data, config.test_fraction,
                                  seed_for(config.master_seed, GLOBAL_CELL, "split"))
-        bounds = np.array([[s.min_value, s.max_value] for s in split.train.specs])
-        return cls(config, out, manifest, split, bounds)
+        return cls(config, out, manifest, split, split.train.bounds)
 
     def save_manifest(self) -> None:
         _atomic_write(self.out / MANIFEST, lambda p: _write_json(p, vars(self.manifest)))

@@ -77,9 +77,8 @@ class CfRequest:
     @classmethod
     def for_instance(cls, x, train: LabeledDataset, mutable=None, request_id=None) -> "CfRequest":
         """Request with bounds taken from the training feature ranges."""
-        bounds = np.array([[s.min_value, s.max_value] for s in train.specs])
         mask = np.ones(train.p, dtype=bool) if mutable is None else mutable
-        return cls(x=np.asarray(x), mutable_mask=mask, bounds=bounds, request_id=request_id)
+        return cls(x=np.asarray(x), mutable_mask=mask, bounds=train.bounds, request_id=request_id)
 
     @property
     def p(self) -> int:

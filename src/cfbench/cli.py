@@ -137,7 +137,7 @@ def cmd_report(args) -> int:
         cells = [Cell(b, t, m) for b in bench.BALANCING_ALL for t in bench.TUNING_ALL
                  for m in cfgen.METHODS if Cell(b, t, m).key() in manifest.cells]
         bench.report(args.out, manifest, cells)
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, ValueError) as exc:
         raise SystemExit(f"report: {exc}") from exc
     print(f"aggregated {len(cells)} cells in {args.out}")
     return 0

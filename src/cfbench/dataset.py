@@ -2,6 +2,12 @@
 ingestion into weekly click counts, stratified splitting, and class-balance
 inspection.
 
+A dataset holds only what its rows say: features, labels, feature names and
+optional row ids. Its `bounds`, the per-column [min, max] that distances are
+normalised by, are computed from the rows, so no stored range can disagree
+with them. `save_csv` writes the ids as an ``ID_COLUMN`` first column, and
+`load_csv` reads that column back whenever the header has it.
+
 Datasets are immutable after construction and safe to share across threads;
 splitting and ingestion are pure given their seeds and inputs.
 """
@@ -43,21 +49,8 @@ _WITHDRAWN = "Withdrawn"
 
 
 @dataclass(frozen=True)
-class FeatureSpec:
-    """Per-feature metadata: name and the observed value range."""
-
-    name: str
-    min_value: float
-    max_value: float
-
-    def __post_init__(self):
-        if self.min_value > self.max_value:
-            raise ValueError(f"feature {self.name!r}: min {self.min_value} > max {self.max_value}")
-
-
-@dataclass(frozen=True)
 class LabeledDataset:
-    """Immutable feature matrix with fail/pass labels and per-feature specs.
+    """Immutable feature matrix with fail/pass labels and feature names.
 
     ``ids`` is optional row identification (e.g. student ids from ingestion);
     it is carried through splits but dropped by resampling.
@@ -65,48 +58,40 @@ class LabeledDataset:
 
     features: np.ndarray
     labels: np.ndarray
-    specs: tuple[FeatureSpec, ...]
+    feature_names: tuple[str, ...]
     ids: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        feats = np.array(self.features, dtype=np.float64)  # own copy; shared read-only after
+        feats = np.array(self.features, dtype=np.float64, order="C")  # own copy, read-only
         labs = np.array(self.labels)
         if feats.ndim != 2 or feats.shape[0] == 0 or feats.shape[1] == 0:
             raise ValueError("features must be a non-empty 2-D matrix")
         if labs.shape != (feats.shape[0],):
             raise ValueError("labels length must match the number of rows")
-        if len(self.specs) != feats.shape[1]:
-            raise ValueError("one FeatureSpec per feature column required")
+        if len(self.feature_names) != feats.shape[1]:
+            raise ValueError("one feature name per feature column required")
         bad = set(labs.tolist()) - set(LABELS)
         if bad:
             raise ValueError(f"unknown labels: {sorted(bad)}")
         if not np.isfinite(feats).all():
             raise ValueError("features must be finite")
-        for j, spec in enumerate(self.specs):
-            col = feats[:, j]
-            if col.min() < spec.min_value or col.max() > spec.max_value:
-                raise ValueError(f"feature {spec.name!r}: values outside declared range")
         if self.ids is not None and len(self.ids) != feats.shape[0]:
             raise ValueError("ids length must match the number of rows")
         feats.setflags(write=False)
         labs.setflags(write=False)
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labs)
-        object.__setattr__(self, "specs", tuple(self.specs))
+        object.__setattr__(self, "feature_names", tuple(str(n) for n in self.feature_names))
+        if self.ids is not None:
+            object.__setattr__(self, "ids", tuple(self.ids))
 
     @classmethod
     def from_arrays(cls, features, labels, names=None, ids=None) -> "LabeledDataset":
-        """Build a dataset with specs computed from the observed column ranges."""
-        feats = np.ascontiguousarray(features, dtype=np.float64)
-        if feats.ndim != 2 or feats.size == 0:
-            raise ValueError("features must be a non-empty 2-D matrix")
+        """Build a dataset, naming the columns ``f1, f2, ...`` when ``names`` is None."""
         if names is None:
-            names = [f"f{j + 1}" for j in range(feats.shape[1])]
-        specs = tuple(
-            FeatureSpec(str(names[j]), float(feats[:, j].min()), float(feats[:, j].max()))
-            for j in range(feats.shape[1])
-        )
-        return cls(feats, np.asarray(labels), specs, tuple(ids) if ids is not None else None)
+            shape = np.shape(features)
+            names = [f"f{j + 1}" for j in range(shape[1] if len(shape) == 2 else 0)]
+        return cls(features, labels, names, ids)
 
     @property
     def n(self) -> int:
@@ -117,8 +102,9 @@ class LabeledDataset:
         return self.features.shape[1]
 
     @property
-    def feature_names(self) -> tuple[str, ...]:
-        return tuple(s.name for s in self.specs)
+    def bounds(self) -> np.ndarray:
+        """The (p, 2) array of each column's observed [min, max]."""
+        return np.column_stack([self.features.min(axis=0), self.features.max(axis=0)])
 
     def class_counts(self) -> dict[str, int]:
         return {lab: int(np.sum(self.labels == lab)) for lab in LABELS}
@@ -127,7 +113,7 @@ class LabeledDataset:
         return np.flatnonzero(self.labels == label)
 
     def subset(self, indices) -> "LabeledDataset":
-        """Row subset in the given order; specs are recomputed from the kept rows."""
+        """Row subset in the given order; `bounds` follow the kept rows."""
         idx = np.asarray(indices, dtype=np.intp)
         ids = tuple(self.ids[i] for i in idx) if self.ids is not None else None
         return LabeledDataset.from_arrays(
@@ -162,17 +148,17 @@ class SplitResult:
 
     train: LabeledDataset
     test: LabeledDataset
-    seed: int
     train_indices: np.ndarray = field(repr=False, default=None)
     test_indices: np.ndarray = field(repr=False, default=None)
 
 
-def load_csv(path, expected_columns, id_column=None) -> LabeledDataset:
+def load_csv(path, expected_columns) -> LabeledDataset:
     """Load a labeled dataset from CSV.
 
     ``expected_columns`` lists the feature columns in order, with the label
     column as the final entry. Columns present in the file but not listed are
-    ignored (except ``id_column``, which is captured as row ids when given).
+    ignored, except ``ID_COLUMN``: when the header has it, as `save_csv`
+    writes it, its cells are read back as row ids.
     """
     path = Path(path)
     if not path.exists():
@@ -192,8 +178,7 @@ def load_csv(path, expected_columns, id_column=None) -> LabeledDataset:
         missing = [c for c in expected if c not in pos]
         if missing:
             raise ValueError(f"{path}: missing column(s): {', '.join(missing)}")
-        if id_column is not None and id_column not in pos:
-            raise ValueError(f"{path}: missing column(s): {id_column}")
+        id_pos = pos.get(ID_COLUMN)
 
         rows, labels, ids = [], [], []
         for rownum, record in enumerate(reader, start=1):
@@ -220,14 +205,13 @@ def load_csv(path, expected_columns, id_column=None) -> LabeledDataset:
                 )
             rows.append(values)
             labels.append(lab)
-            if id_column is not None:
-                ids.append(record[pos[id_column]])
+            if id_pos is not None:
+                ids.append(record[id_pos])
 
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    return LabeledDataset.from_arrays(
-        np.vstack(rows), labels, feature_cols, ids if id_column is not None else None
-    )
+    return LabeledDataset(np.vstack(rows), labels, feature_cols,
+                          ids if id_pos is not None else None)
 
 
 def _read_oulad(path: Path, required: tuple[str, ...]):
@@ -359,7 +343,6 @@ def stratified_split(data: LabeledDataset, test_fraction: float, seed: int) -> S
     return SplitResult(
         train=data.subset(train_indices),
         test=data.subset(test_indices),
-        seed=seed,
         train_indices=train_indices,
         test_indices=test_indices,
     )

@@ -64,12 +64,7 @@ def _check(rt: RangeTable, *arrays):
 
 def gower(a, b, ranges: RangeTable) -> float:
     """Mean range-normalized absolute difference over non-constant features, in [0, 1]."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    _check(ranges, a, b)
-    act = ranges.active
-    terms = np.minimum(np.abs(a[act] - b[act]) / ranges.widths[act], 1.0)
-    return float(terms.sum() / act.sum())
+    return float(gower_many(np.asarray(a, dtype=np.float64)[None], b, ranges)[0])
 
 
 def gower_many(pool, x, ranges: RangeTable) -> np.ndarray:

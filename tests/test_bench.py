@@ -1,4 +1,6 @@
+import csv
 import json
+import logging
 import os
 from collections import Counter
 from dataclasses import replace
@@ -283,6 +285,17 @@ class TestRun:
         # the manifest names no location, so it holds for any spelling of out
         assert str(tmp_path) not in (out / "manifest.json").read_text()
 
+    @pytest.mark.parametrize("text", ["{not json", "[]"])
+    def test_unreadable_manifest_is_replaced(self, frame_csv, tmp_path, caplog, text):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "manifest.json").write_text(text)
+        with caplog.at_level(logging.WARNING, logger="cfbench.bench"):
+            manifest = run(tiny_config(frame_csv, out))
+        assert "ignoring unreadable manifest" in caplog.text
+        assert manifest.completed_cells() == 1
+        assert RunManifest.load(out / "manifest.json") == manifest
+
     def test_block_entries_count_trees_nodes_and_tune_fits(self, frame_csv, tmp_path):
         out = tmp_path / "out"
         config = tiny_config(frame_csv, out, tuning=("vanilla", "tuned"), tune_folds=3,
@@ -329,6 +342,45 @@ class TestRun:
         assert manifest.blocks["smote:vanilla"]["status"] == "failed"
         assert manifest.cells["smote:vanilla:whatif"]["status"] == "failed"
         assert list(out.rglob("smote_*")) == []
+
+    def test_cell_files_keep_each_methods_promises(self, frame_csv, tmp_path):
+        """Read back from ``cells/``: whatif returns its pool rows, NICE changes
+        only the features it copied, every counterfactual lies inside the
+        training bounds widened to x, and each MOC front is non-dominated."""
+        balancings = ("original", "undersampling", "smote", "cost_sensitive")
+        config = tiny_config(frame_csv, tmp_path / "out", balancing=balancings,
+                             methods=METHODS, max_explained_instances=4)
+        manifest = run(config)
+        assert manifest.completed_cells() == len(balancings) * len(METHODS)
+        split = Pipeline.open(config).split
+        lo, hi = split.train.bounds.T
+        for balancing in balancings:
+            method_train, _ = prepare_training(config, split.train, balancing)
+            for method in METHODS:
+                stem = tmp_path / "out" / "cells" / f"{balancing}_vanilla_{method}"
+                with open(f"{stem}.cfs.csv", newline="") as fh:
+                    rows = list(csv.reader(fh))[1:]
+                metas = [json.loads(line)
+                         for line in Path(f"{stem}.meta.jsonl").read_text().splitlines()]
+                assert len(rows) == len(metas) > 0
+                fronts = {}
+                for row, meta in zip(rows, metas):
+                    assert int(row[0]) == meta["request_id"] and row[1] == meta["method"]
+                    x = split.test.features[meta["request_id"]]
+                    values = np.array(row[2:-1], dtype=float)
+                    info = meta["meta"]
+                    assert (np.minimum(lo, x) <= values).all()
+                    assert (values <= np.maximum(hi, x)).all()
+                    if method == "whatif":
+                        assert np.array_equal(values, method_train.features[info["pool_index"]])
+                    elif method in ("nice_sp", "nice_pr"):
+                        assert set(np.flatnonzero(values != x)) <= set(info["copied_features"])
+                    else:
+                        fronts.setdefault(meta["request_id"], []).append(info["objectives"])
+                for objs in fronts.values():
+                    objs = np.array(objs)
+                    dominated = [(objs <= o).all(axis=1) & (objs < o).any(axis=1) for o in objs]
+                    assert not np.any(dominated)
 
     def test_master_seed_changes_results(self, frame_csv, tmp_path):
         config_a = tiny_config(frame_csv, tmp_path / "a", methods=("moc",))

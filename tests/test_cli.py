@@ -51,7 +51,7 @@ def test_ingest(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "students" in captured.out
     assert "imbalance ratio" in captured.out
-    ds = load_csv(out, FRAME_COLUMNS, id_column="student_id")
+    ds = load_csv(out, FRAME_COLUMNS)
     assert ds.p == 42
     assert ds.ids is not None
 
@@ -90,6 +90,16 @@ def test_report_needs_a_manifest(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["report", "--out", str(empty)])
     assert str(empty / "manifest.json") in str(exc.value.code)
+
+
+@pytest.mark.parametrize("text", ["{not json", "[]"])
+def test_report_names_a_corrupt_manifest(tmp_path, text):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "manifest.json").write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main(["report", "--out", str(out)])
+    assert str(out / "manifest.json") in str(exc.value.code)
 
 
 def test_report_names_a_missing_cell_file(tmp_path, config_file):

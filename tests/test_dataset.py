@@ -7,7 +7,6 @@ from cfbench.dataset import (
     FAIL,
     PASS,
     WEEK_COLUMNS,
-    FeatureSpec,
     LabeledDataset,
     imbalance_ratio,
     ingest_oulad,
@@ -35,8 +34,7 @@ class TestLoadCsv:
     def test_constant_column_flagged(self, tmp_path):
         f = write(tmp_path / "d.csv", "a,b,final_result\n0,1,fail\n0,2,pass\n")
         ds = load_csv(f, ["a", "b", "final_result"])
-        assert ds.specs[0] == FeatureSpec("a", 0.0, 0.0)
-        assert ds.specs[1] == FeatureSpec("b", 1.0, 2.0)
+        np.testing.assert_array_equal(ds.bounds, [[0.0, 0.0], [1.0, 2.0]])
 
     def test_unparseable_cell_names_row_and_column(self, tmp_path):
         f = write(tmp_path / "d.csv", "a,b,final_result\n1,2,fail\n1,x,pass\n")
@@ -68,11 +66,17 @@ class TestLoadCsv:
             load_csv(f, ["a", "final_result"])
 
     def test_extra_columns_ignored(self, tmp_path):
-        f = write(tmp_path / "d.csv", "student_id,a,final_result\ns1,1,fail\ns2,2,pass\n")
+        f = write(tmp_path / "d.csv", "a,extra,final_result\n1,x,fail\n2,y,pass\n")
         ds = load_csv(f, ["a", "final_result"])
         assert ds.p == 1 and ds.ids is None
-        ds = load_csv(f, ["a", "final_result"], id_column="student_id")
-        assert ds.ids == ("s1", "s2")
+
+    def test_id_column_read_back(self, tmp_path):
+        f = write(tmp_path / "d.csv", "student_id,a,final_result\ns1,1,fail\ns2,2,pass\n")
+        ds = load_csv(f, ["a", "final_result"])
+        assert ds.p == 1 and ds.ids == ("s1", "s2")
+        out = tmp_path / "again.csv"
+        ds.save_csv(out)
+        assert out.read_text() == f.read_text()
 
     def test_round_trip(self, tmp_path, blobs):
         ds = blobs(n=40, p=3, seed=5)
@@ -81,7 +85,8 @@ class TestLoadCsv:
         back = load_csv(out, list(ds.feature_names) + ["final_result"])
         np.testing.assert_array_equal(back.features, ds.features)
         assert list(back.labels) == list(ds.labels)
-        assert back.specs == ds.specs
+        assert back.feature_names == ds.feature_names
+        np.testing.assert_array_equal(back.bounds, ds.bounds)
 
 
 class TestIngest:

@@ -40,7 +40,7 @@ def test_frame_shape_and_ranges(ddd_frame):
     assert frame.p == 42
     assert frame.feature_names[0] == "week_minus4"
     assert frame.feature_names[-1] == "week_37"
-    spec = {s.name: (s.min_value, s.max_value) for s in frame.specs}
+    spec = dict(zip(frame.feature_names, map(tuple, frame.bounds)))
     print("observed ranges:", {k: spec[k] for k in ("week_minus4", "week_0", "week_37")})
     assert spec["week_minus4"][0] == 0.0
 

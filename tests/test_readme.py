@@ -1,0 +1,26 @@
+"""The README's library tour runs as written, on an ingested synthetic frame."""
+
+import re
+from pathlib import Path
+
+from cfbench.dataset import ingest_oulad
+
+from synth import write_oulad_raw
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def tour_code() -> str:
+    section = README.read_text().split("## Library tour", 1)[1]
+    return re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+
+
+def test_library_tour_runs(tmp_path, monkeypatch):
+    raw = write_oulad_raw(tmp_path / "raw", n_students=160, seed=4)
+    ingest_oulad(raw, "DDD", ["2013J", "2014J"]).save_csv(tmp_path / "frame.csv")
+    monkeypatch.chdir(tmp_path)
+    scope = {}
+    exec(compile(tour_code(), str(README), "exec"), scope)
+    assert scope["frame"].ids is not None
+    assert len(scope["nearest"]) == 10
+    assert scope["model"].predict_proba(scope["greedy"].values) < 0.5
