@@ -62,12 +62,31 @@ TUNING_ALL = (VANILLA, TUNED)
 GLOBAL_CELL = Cell("-", "-", "-")
 MANIFEST = "manifest.json"
 
-# No output file depends on where it is written or on which cells an
-# invocation selects, so these fields stay out of every reuse key.
-_UNHASHED = ("output_dir", "balancing", "tuning", "methods")
-# Only generation reads these, so they stay out of a block's key.
-_CELL_ONLY = ("max_explained_instances", "whatif_k", "moc_population", "moc_generations",
-              "moc_crossover_rate", "moc_mutation_rate")
+# A setting's reuse-key scope: the manifest entries whose keys hash it. No
+# output file depends on where it is written or on which cells an invocation
+# selects, so those settings are in no key; only generation reads the
+# cell-scoped ones, so they stay out of a block's key.
+NO_KEY, CELL_KEY, BLOCK_KEY = "none", "cell", "block"
+
+
+def _strs(raw: str) -> tuple[str, ...]:
+    return tuple(part.strip() for part in raw.split(",") if part.strip())
+
+
+def _ints(raw: str) -> tuple[int, ...]:
+    return tuple(int(part) for part in _strs(raw))
+
+
+def _cap(raw: str) -> int | None:
+    return None if raw.lower() in ("unlimited", "none") else int(raw)
+
+
+def _setting(section: str, default, parse=None, scope: str = BLOCK_KEY):
+    """An `ExperimentConfig` field, read from INI ``[section]`` under its name
+    without the ``<section>_`` prefix. ``parse`` turns the text into the value
+    (by default the default's type); ``scope`` is its reuse-key scope."""
+    return field(default=default, metadata={"section": section, "scope": scope,
+                                            "parse": parse or type(default)})
 
 
 @dataclass(frozen=True)
@@ -77,33 +96,34 @@ class ExperimentConfig:
     Defaults are desk scale: a 50-tree forest, a reduced 5-fold single-repeat
     tuning pass, and at most 50 explained instances per cell. `full_scale()`
     switches to the paper-faithful 500-tree / 10-fold x 3-repeat setup with no
-    instance cap.
+    instance cap. Each field declares its INI section, text parser and
+    reuse-key scope (`_setting`).
     """
 
-    oulad_dir: Path | None = None
-    frame_csv: Path | None = None
-    course: str = "DDD"
-    presentations: tuple[str, ...] = ("2013J", "2014J")
-    test_fraction: float = 0.3
-    master_seed: int = 0
-    output_dir: Path = Path("out")
-    balancing: tuple[str, ...] = BALANCING_ALL
-    tuning: tuple[str, ...] = TUNING_ALL
-    methods: tuple[str, ...] = cfgen.METHODS
-    max_explained_instances: int | None = 50
-    n_trees: int = 50
-    tune_folds: int = 5
-    tune_repeats: int = 1
-    tune_objective: str = "auc"
-    tune_mtry: tuple[int, ...] = (2, 6, 21, 41)
-    tune_splitrule: tuple[str, ...] = forest.SPLITRULES
-    tune_min_node_size: tuple[int, ...] = (1, 5, 10)
-    whatif_k: int = cfgen.DEFAULT_WHATIF_K
-    smote_k: int = balance.DEFAULT_SMOTE_K
-    moc_population: int = 100
-    moc_generations: int = 50
-    moc_crossover_rate: float = 0.7
-    moc_mutation_rate: float = 0.3
+    oulad_dir: Path | None = _setting("data", None, Path)
+    frame_csv: Path | None = _setting("data", None, Path)
+    course: str = _setting("data", "DDD")
+    presentations: tuple[str, ...] = _setting("data", ("2013J", "2014J"), _strs)
+    test_fraction: float = _setting("split", 0.3)
+    master_seed: int = _setting("run", 0)
+    output_dir: Path = _setting("run", Path("out"), Path, NO_KEY)
+    balancing: tuple[str, ...] = _setting("run", BALANCING_ALL, _strs, NO_KEY)
+    tuning: tuple[str, ...] = _setting("run", TUNING_ALL, _strs, NO_KEY)
+    methods: tuple[str, ...] = _setting("run", cfgen.METHODS, _strs, NO_KEY)
+    max_explained_instances: int | None = _setting("run", 50, _cap, CELL_KEY)
+    n_trees: int = _setting("forest", 50)
+    tune_folds: int = _setting("tune", 5)
+    tune_repeats: int = _setting("tune", 1)
+    tune_objective: str = _setting("tune", "auc")
+    tune_mtry: tuple[int, ...] = _setting("tune", (2, 6, 21, 41), _ints)
+    tune_splitrule: tuple[str, ...] = _setting("tune", forest.SPLITRULES, _strs)
+    tune_min_node_size: tuple[int, ...] = _setting("tune", (1, 5, 10), _ints)
+    whatif_k: int = _setting("whatif", cfgen.DEFAULT_WHATIF_K, scope=CELL_KEY)
+    smote_k: int = _setting("smote", balance.DEFAULT_SMOTE_K)
+    moc_population: int = _setting("moc", 100, scope=CELL_KEY)
+    moc_generations: int = _setting("moc", 50, scope=CELL_KEY)
+    moc_crossover_rate: float = _setting("moc", 0.7, scope=CELL_KEY)
+    moc_mutation_rate: float = _setting("moc", 0.3, scope=CELL_KEY)
 
     def __post_init__(self):
         if (self.oulad_dir is None) == (self.frame_csv is None):
@@ -115,19 +135,22 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be non-empty")
             unknown = [v for v in got if v not in allowed]
             if unknown:
-                raise ValueError(f"unknown {name} value(s): {', '.join(unknown)}")
+                raise ValueError(f"unknown {name} value(s): {', '.join(unknown)}; "
+                                 f"choose from {', '.join(allowed)}")
             if len(set(got)) != len(got):
                 raise ValueError(f"duplicate {name} values")
         if not 0.0 < self.test_fraction < 1.0:
             raise ValueError("test_fraction must be in (0, 1)")
         if self.max_explained_instances is not None and self.max_explained_instances < 1:
             raise ValueError("max_explained_instances must be positive or unlimited")
-        if self.tune_objective not in forest.OBJECTIVES:
-            raise ValueError(f"tune_objective must be one of {forest.OBJECTIVES}")
-        for name in ("n_trees", "tune_folds", "tune_repeats", "whatif_k", "smote_k",
-                     "moc_population", "moc_generations"):
+        for name in ("whatif_k", "smote_k"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
+        # the MOC, cross-validation and forest settings are checked by their owners
+        self.moc_config(0)
+        forest.CvSpec(self.tune_folds, self.tune_repeats, self.tune_objective)
+        if not self.grid(max(self.tune_mtry, default=1)):
+            raise ValueError("tune_mtry, tune_splitrule and tune_min_node_size must be non-empty")
 
     def full_scale(self) -> "ExperimentConfig":
         """Paper-faithful scale: 500 trees, 10-fold x 3-repeat tuning, no instance cap."""
@@ -159,11 +182,11 @@ class ExperimentConfig:
     def key(self, cell: Cell) -> str:
         """The reuse key of ``cell``'s manifest entry: a hash of the cell and of
         the settings its files depend on. A block is ``Cell(b, t, "-")``, and
-        its key leaves out the cell-only settings."""
-        skip = _UNHASHED + (_CELL_ONLY if cell.method == "-" else ())
+        its key leaves out the cell-scoped settings."""
+        scopes = (BLOCK_KEY,) if cell.method == "-" else (BLOCK_KEY, CELL_KEY)
         lines = [f"cell={cell.key()}"]
         for f in sorted(fields(self), key=lambda f: f.name):
-            if f.name in skip:
+            if f.metadata["scope"] not in scopes:
                 continue
             value = getattr(self, f.name)
             if isinstance(value, tuple):
@@ -172,66 +195,34 @@ class ExperimentConfig:
         return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
 
 
-_KEY_TO_FIELD = {
-    ("data", "oulad_dir"): ("oulad_dir", Path),
-    ("data", "frame_csv"): ("frame_csv", Path),
-    ("data", "course"): ("course", str),
-    ("data", "presentations"): ("presentations", "strs"),
-    ("split", "test_fraction"): ("test_fraction", float),
-    ("run", "master_seed"): ("master_seed", int),
-    ("run", "output_dir"): ("output_dir", Path),
-    ("run", "balancing"): ("balancing", "strs"),
-    ("run", "tuning"): ("tuning", "strs"),
-    ("run", "methods"): ("methods", "strs"),
-    ("run", "max_explained_instances"): ("max_explained_instances", "cap"),
-    ("forest", "n_trees"): ("n_trees", int),
-    ("tune", "folds"): ("tune_folds", int),
-    ("tune", "repeats"): ("tune_repeats", int),
-    ("tune", "objective"): ("tune_objective", str),
-    ("tune", "mtry"): ("tune_mtry", "ints"),
-    ("tune", "splitrule"): ("tune_splitrule", "strs"),
-    ("tune", "min_node_size"): ("tune_min_node_size", "ints"),
-    ("whatif", "k"): ("whatif_k", int),
-    ("smote", "k"): ("smote_k", int),
-    ("moc", "population"): ("moc_population", int),
-    ("moc", "generations"): ("moc_generations", int),
-    ("moc", "crossover_rate"): ("moc_crossover_rate", float),
-    ("moc", "mutation_rate"): ("moc_mutation_rate", float),
-}
-
-
 def parse_config(path) -> ExperimentConfig:
-    """Parse the INI-style run description; unknown sections or keys are errors."""
+    """Parse the INI-style run description; unknown sections or keys and
+    invalid settings are errors that name the file."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such config file: {path}")
     parser = configparser.ConfigParser(interpolation=None)
     with path.open() as fh:
         parser.read_file(fh, source=str(path))
-    sections = {section for section, _ in _KEY_TO_FIELD}
+    settings = {(f.metadata["section"], f.name.removeprefix(f.metadata["section"] + "_")): f
+                for f in fields(ExperimentConfig)}
+    sections = {section for section, _ in settings}
     kwargs = {}
     for section in parser.sections():
         if section not in sections:
             raise ValueError(f"{path}: unknown section [{section}]")
         for key, raw in parser.items(section):
-            if (section, key) not in _KEY_TO_FIELD:
+            if (section, key) not in settings:
                 raise ValueError(f"{path}: unknown key {key!r} in section [{section}]")
-            name, kind = _KEY_TO_FIELD[(section, key)]
-            kwargs[name] = _convert(raw.strip(), kind, f"{path}: [{section}] {key}")
-    return ExperimentConfig(**kwargs)
-
-
-def _convert(raw: str, kind, context: str):
+            f, raw = settings[(section, key)], raw.strip()
+            try:
+                kwargs[f.name] = f.metadata["parse"](raw)
+            except ValueError as exc:
+                raise ValueError(f"{path}: [{section}] {key}: cannot parse {raw!r}") from exc
     try:
-        if kind == "strs":
-            return tuple(part.strip() for part in raw.split(",") if part.strip())
-        if kind == "ints":
-            return tuple(int(part) for part in raw.split(",") if part.strip())
-        if kind == "cap":
-            return None if raw.lower() in ("unlimited", "none") else int(raw)
-        return kind(raw)
+        return ExperimentConfig(**kwargs)
     except ValueError as exc:
-        raise ValueError(f"{context}: cannot parse {raw!r}") from exc
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 @dataclass
@@ -245,14 +236,19 @@ class RunManifest:
 
     @classmethod
     def load(cls, path) -> "RunManifest":
-        """Read ``path``; `ValueError`, naming the file, when it is not a JSON object."""
+        """Read ``path``; `ValueError`, naming the file, when it is not a JSON
+        object or its ``blocks`` and ``cells`` do not map names to objects."""
         try:
             raw = json.loads(Path(path).read_text())
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: not a JSON object: {exc}") from exc
         if not isinstance(raw, dict):
             raise ValueError(f"{path}: not a JSON object")
-        return cls(blocks=raw.get("blocks", {}), cells=raw.get("cells", {}))
+        entries = {kind: raw.get(kind, {}) for kind in ("blocks", "cells")}
+        for kind, named in entries.items():
+            if not (isinstance(named, dict) and all(isinstance(e, dict) for e in named.values())):
+                raise ValueError(f"{path}: {kind} must map names to JSON objects")
+        return cls(**entries)
 
     def completed_cells(self) -> int:
         return sum(1 for c in self.cells.values() if c.get("status") == "done")

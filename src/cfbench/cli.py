@@ -17,6 +17,7 @@ every cell of the directory's manifest in grid order.
 from __future__ import annotations
 
 import argparse
+import configparser
 import logging
 import sys
 from dataclasses import replace
@@ -27,33 +28,36 @@ from .cfeval import Cell
 from .dataset import imbalance_ratio, ingest_oulad
 
 
-def _parse_cell(text: str, want_method: bool) -> Cell:
+def _select(config: bench.ExperimentConfig, text: str, want_method: bool) -> bench.ExperimentConfig:
+    """``config`` restricted to the ``--cell`` of a command, whose names the
+    config checks; without ``want_method`` it keeps its methods."""
     parts = text.split(":")
     if want_method and len(parts) != 3:
         raise SystemExit(f"--cell must look like balancing:tuning:method, got {text!r}")
     if not want_method and len(parts) not in (2, 3):
         raise SystemExit(f"--cell must look like balancing:tuning, got {text!r}")
-    balancing, tuning = parts[0], parts[1]
-    method = parts[2] if len(parts) == 3 else "-"
-    if balancing not in bench.BALANCING_ALL:
-        raise SystemExit(f"unknown balancing {balancing!r}; choose from {bench.BALANCING_ALL}")
-    if tuning not in bench.TUNING_ALL:
-        raise SystemExit(f"unknown tuning {tuning!r}; choose from {bench.TUNING_ALL}")
-    if want_method and method not in cfgen.METHODS:
-        raise SystemExit(f"unknown method {method!r}; choose from {cfgen.METHODS}")
-    return Cell(balancing, tuning, method)
+    try:
+        return replace(config, balancing=(parts[0],), tuning=(parts[1],),
+                       methods=(parts[2],) if want_method else config.methods)
+    except ValueError as exc:
+        raise SystemExit(f"--cell {text}: {exc}") from exc
 
 
 def _load_config(args) -> bench.ExperimentConfig:
-    config = bench.parse_config(args.config)
-    if getattr(args, "full", False):
-        config = config.full_scale()
-    if getattr(args, "seed", None) is not None:
-        config = replace(config, master_seed=args.seed)
-    if getattr(args, "max_instances", None) is not None:
-        config = replace(config, max_explained_instances=args.max_instances)
-    if getattr(args, "out", None) is not None:
-        config = replace(config, output_dir=Path(args.out))
+    """The ``--config`` file with the command's overrides; an unreadable file or
+    an invalid setting ends the command with a message."""
+    try:
+        config = bench.parse_config(args.config)
+        if getattr(args, "full", False):
+            config = config.full_scale()
+        if getattr(args, "seed", None) is not None:
+            config = replace(config, master_seed=args.seed)
+        if getattr(args, "max_instances", None) is not None:
+            config = replace(config, max_explained_instances=args.max_instances)
+        if getattr(args, "out", None) is not None:
+            config = replace(config, output_dir=Path(args.out))
+    except (FileNotFoundError, ValueError, configparser.Error) as exc:
+        raise SystemExit(f"{args.command}: {exc}") from exc
     return config
 
 
@@ -68,12 +72,12 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_train(args) -> int:
-    config = _load_config(args)
-    cell = _parse_cell(args.cell, want_method=False)
-    _, _, entry = bench.Pipeline.open(config).block(cell.balancing, cell.tuning)
-    model_path, _ = bench.block_files(config.output_dir, cell.balancing, cell.tuning)
+    config = _select(_load_config(args), args.cell, want_method=False)
+    balancing, tuning = config.balancing[0], config.tuning[0]
+    _, _, entry = bench.Pipeline.open(config).block(balancing, tuning)
+    model_path, _ = bench.block_files(config.output_dir, balancing, tuning)
     hp, metrics = entry["hyperparams"], entry["metrics"]
-    print(f"cell {cell.balancing}:{cell.tuning}")
+    print(f"cell {balancing}:{tuning}")
     print(f"hyperparams: mtry={hp['mtry']} splitrule={hp['splitrule']} "
           f"min_node_size={hp['min_node_size']} n_trees={hp['n_trees']}")
     print(f"accuracy {metrics['accuracy']:.4f}  auc {metrics['auc']:.4f}  f1 {metrics['f1']:.4f}")
@@ -83,7 +87,7 @@ def cmd_train(args) -> int:
 
 def cmd_explain(args) -> int:
     config = _load_config(args)
-    cell = _parse_cell(args.cell, want_method=True)
+    cell = _select(config, args.cell, want_method=True).cells()[0]
     pipe = bench.Pipeline.open(config)
     method_train, model, _ = pipe.block(cell.balancing, cell.tuning)
     split = pipe.split
@@ -117,9 +121,7 @@ def cmd_explain(args) -> int:
 def cmd_run(args) -> int:
     config = _load_config(args)
     if args.cell is not None:
-        cell = _parse_cell(args.cell, want_method=True)
-        config = replace(config, balancing=(cell.balancing,), tuning=(cell.tuning,),
-                         methods=(cell.method,))
+        config = _select(config, args.cell, want_method=True)
     manifest = bench.run(config)
     # the manifest also holds the cells of earlier shards; report this invocation's
     own = [cell.key() for cell in config.cells()]

@@ -117,7 +117,7 @@ class TestConfig:
         for change in (dict(output_dir=Path("out").absolute()),
                        dict(balancing=("smote", "original")), dict(tuning=("tuned",)),
                        dict(methods=("moc", "nice_pr")), dict(max_explained_instances=4),
-                       dict(whatif_k=4), dict(moc_population=11), dict(moc_generations=6),
+                       dict(whatif_k=4), dict(moc_population=12), dict(moc_generations=6),
                        dict(moc_crossover_rate=0.5), dict(moc_mutation_rate=0.5)):
             assert replace(a, **change).key(block) == a.key(block), change
         for change in (dict(master_seed=99), dict(n_trees=6), dict(smote_k=4),
@@ -127,6 +127,14 @@ class TestConfig:
         for change in (dict(max_explained_instances=4), dict(moc_generations=6)):
             assert replace(a, **change).key(cell) != a.key(cell), change
         assert replace(a, output_dir=Path("out").absolute()).key(cell) == a.key(cell)
+
+    def test_reuse_keys_are_pinned(self):
+        """The hashed text of every setting is fixed, so the output directories
+        of earlier versions resume without refitting."""
+        config = ExperimentConfig(frame_csv=Path("frame.csv"))
+        assert config.key(Cell("original", "vanilla", "-")) == "3d897fcbc80b4de4"
+        assert config.key(Cell("original", "vanilla", "moc")) == "fe32d564b8b7f3c4"
+        assert config.full_scale().key(Cell("smote", "tuned", "-")) == "d4ba4af531f1f833"
 
 
 class TestParseConfig:
@@ -177,6 +185,18 @@ generations = 10
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             parse_config(tmp_path / "none.cfg")
+
+    @pytest.mark.parametrize("section, setting", [
+        ("moc", "population = 3"), ("moc", "mutation_rate = 1.5"), ("moc", "crossover_rate = 0"),
+        ("tune", "folds = 1"), ("tune", "splitrule = foo"), ("tune", "mtry = 0"),
+        ("tune", "mtry ="), ("tune", "min_node_size = 0")])
+    def test_invalid_setting_fails_at_parse_time(self, tmp_path, section, setting):
+        """Each MOC, cross-validation and forest rule is checked when the file
+        is read, before any forest is fit, and the error names the file."""
+        path = self.write(tmp_path, f"[data]\nframe_csv = f.csv\n\n[{section}]\n{setting}\n")
+        with pytest.raises(ValueError) as exc:
+            parse_config(path)
+        assert str(exc.value).startswith(f"{path}: ")
 
 
 class TestRun:
@@ -285,7 +305,8 @@ class TestRun:
         # the manifest names no location, so it holds for any spelling of out
         assert str(tmp_path) not in (out / "manifest.json").read_text()
 
-    @pytest.mark.parametrize("text", ["{not json", "[]"])
+    @pytest.mark.parametrize("text", ["{not json", "[]", '{"blocks": []}',
+                                      '{"cells": {"original:vanilla:whatif": "done"}}'])
     def test_unreadable_manifest_is_replaced(self, frame_csv, tmp_path, caplog, text):
         out = tmp_path / "out"
         out.mkdir()

@@ -92,7 +92,8 @@ def test_report_needs_a_manifest(tmp_path):
     assert str(empty / "manifest.json") in str(exc.value.code)
 
 
-@pytest.mark.parametrize("text", ["{not json", "[]"])
+@pytest.mark.parametrize("text", ["{not json", "[]", '{"blocks": []}',
+                                  '{"cells": {"original:vanilla:whatif": "done"}}'])
 def test_report_names_a_corrupt_manifest(tmp_path, text):
     out = tmp_path / "out"
     out.mkdir()
@@ -100,6 +101,25 @@ def test_report_names_a_corrupt_manifest(tmp_path, text):
     with pytest.raises(SystemExit) as exc:
         main(["report", "--out", str(out)])
     assert str(out / "manifest.json") in str(exc.value.code)
+
+
+@pytest.mark.parametrize("edit, extra, message", [
+    (("population = 10", "population = 3x"), [], "[moc] population: cannot parse '3x'"),
+    (("population = 10", "population = 3"), [], "population must be an even integer"),
+    (("population = 10", "population = 10\npopulation = 12"), [], "already exists"),
+    (None, ["--max-instances", "0"], "max_explained_instances must be positive"),
+], ids=["parse-error", "invalid-value", "ini-syntax-error", "bad-override"])
+def test_config_errors_exit_with_a_message(config_file, edit, extra, message):
+    """A parse error, an invalid value, an INI syntax error and a bad override
+    each end the command with a message, not a traceback."""
+    if edit is not None:
+        config_file.write_text(config_file.read_text().replace(*edit))
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", str(config_file), *extra])
+    assert str(exc.value.code).startswith("run: ")
+    assert message in str(exc.value.code)
+    if edit is not None:
+        assert str(config_file) in str(exc.value.code)
 
 
 def test_report_names_a_missing_cell_file(tmp_path, config_file):

@@ -3,6 +3,7 @@
 import re
 from pathlib import Path
 
+from cfbench.bench import ExperimentConfig, parse_config
 from cfbench.dataset import ingest_oulad
 
 from synth import write_oulad_raw
@@ -24,3 +25,11 @@ def test_library_tour_runs(tmp_path, monkeypatch):
     assert scope["frame"].ids is not None
     assert len(scope["nearest"]) == 10
     assert scope["model"].predict_proba(scope["greedy"].values) < 0.5
+
+
+def test_config_example_parses(tmp_path):
+    """The README's config example is the default configuration, spelled out."""
+    section = README.read_text().split("### Config file", 1)[1]
+    path = tmp_path / "run.cfg"
+    path.write_text(re.search(r"```ini\n(.*?)```", section, re.DOTALL).group(1))
+    assert parse_config(path) == ExperimentConfig(frame_csv=Path("frame.csv"))
