@@ -181,10 +181,11 @@ class ExperimentConfig:
 
     def key(self, cell: Cell) -> str:
         """The reuse key of ``cell``'s manifest entry: a hash of the cell and of
-        the settings its files depend on. A block is ``Cell(b, t, "-")``, and
-        its key leaves out the cell-scoped settings."""
+        the settings its files depend on, and of the forest grower's version.
+        A block is ``Cell(b, t, "-")``, and its key leaves out the
+        cell-scoped settings."""
         scopes = (BLOCK_KEY,) if cell.method == "-" else (BLOCK_KEY, CELL_KEY)
-        lines = [f"cell={cell.key()}"]
+        lines = [f"cell={cell.key()}", f"grower={forest.GROWER_VERSION}"]
         for f in sorted(fields(self), key=lambda f: f.name):
             if f.metadata["scope"] not in scopes:
                 continue
@@ -408,8 +409,8 @@ class Pipeline:
     def block(self, balancing: str, tuning: str):
         """The block's training set, forest and manifest entry, which holds
         the forest's hyperparameters and test metrics, its ``trees`` and
-        ``nodes``, and ``tune_fits``, the forests fit while tuning it (grid
-        points x folds x repeats, 0 for vanilla).
+        ``nodes``, and ``tune_fits``, the forests fit while tuning it
+        (distinct (mtry, splitrule, n_trees) x folds x repeats, 0 for vanilla).
 
         The forest is loaded when its entry is reusable. Otherwise it is fit
         (and tuned), evaluated and saved with its meta; ``seconds`` cover the
@@ -429,7 +430,8 @@ class Pipeline:
             t0 = time.perf_counter()
             model, hp = fit_block(self.config, method_train, weights, balancing, tuning)
             metrics = forest.evaluate(model, self.split.test)
-            tune_fits = 0 if tuning == VANILLA else len(self.config.grid(method_train.p)) \
+            tune_fits = 0 if tuning == VANILLA else \
+                len(forest.shared_forests(self.config.grid(method_train.p))) \
                 * self.config.tune_folds * self.config.tune_repeats
             meta = {
                 "hyperparams": {"mtry": hp.mtry, "splitrule": hp.splitrule,

@@ -92,12 +92,26 @@ class GowerColumns:
     @classmethod
     def of(cls, rows) -> "GowerColumns":
         rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-        codes = np.empty(rows.shape[::-1], dtype=np.intp)
+        n, p = rows.shape
+        # one sort of all columns, as rows of the transpose: a sorted value
+        # that differs from the one before starts a new code. Each temporary
+        # goes once used, since the row set can be the whole training split
+        at = rows.T.argsort(axis=1)
+        ordered = np.take_along_axis(rows.T, at, axis=1)
+        starts = np.ones((p, n), dtype=bool)
+        starts[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
         values = []
-        for j in range(rows.shape[1]):
-            v, codes[j] = np.unique(rows[:, j], return_inverse=True)
+        for v, new in zip(ordered, starts):
+            v = v[new]
             v.setflags(write=False)
             values.append(v)
+        del ordered
+        at += np.arange(p)[:, None] * n  # flat positions in codes
+        ranks = starts.cumsum(axis=1, dtype=np.int32)
+        ranks -= 1
+        codes = np.empty(p * n, dtype=np.intp)
+        codes[at] = ranks
+        codes = codes.reshape(p, n)
         codes.setflags(write=False)
         return cls(tuple(values), codes)
 

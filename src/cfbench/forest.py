@@ -8,23 +8,30 @@ weighted-forest practice: as weighted Gini impurity and as weighted bootstrap
 sampling probabilities. Leaf probabilities are plain within-leaf class
 fractions of the bootstrap sample.
 
-Everything is deterministic given the fitting seed: each tree draws from its
-own RNG stream spawned from (seed, tree index), so a fitted prefix of a
-larger forest is identical to a smaller forest with the same seed. A fitted
-model is immutable and safe for concurrent prediction.
+Everything is deterministic given the fitting seed: each tree draws its
+bootstrap and its 64-bit key from its own RNG stream spawned from (seed, tree
+index), so a fitted prefix of a larger forest is identical to a smaller
+forest with the same seed. Each node to split draws its candidate features
+and extratrees thresholds from a stream keyed by the tree's key and the
+node's path (`rng.path_key`), not from the tree's stream in growth order. So
+no node's draws depend on which other nodes split, and the tree grown at
+``min_node_size`` s is the tree grown at 1 with every node of fewer than s
+bootstrap rows made a leaf (`prune`). `tune` uses this to grow one forest per
+(mtry, splitrule) and fold for all its min_node_sizes. A fitted model is
+immutable and safe for concurrent prediction.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .balance import ClassWeights
 from .dataset import FAIL, LabeledDataset
-from .rng import derive_seed, spawn_rng, stream_rngs
+from .rng import KeyedStream, derive_seed, path_key, spawn_rng, stream_rngs
 
 GINI = "gini"
 EXTRATREES = "extratrees"
@@ -33,6 +40,10 @@ SPLITRULES = (GINI, EXTRATREES)
 OBJECTIVES = ("auc", "accuracy", "f1")
 
 DEFAULT_N_TREES = 500
+
+# Changes whenever the same settings grow other trees; reuse keys hash it, so
+# a resume refits forests that an older grower fitted
+GROWER_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -78,13 +89,19 @@ class EvalMetrics:
 
 @dataclass(frozen=True)
 class Tree:
-    """Flat binary tree: feature[i] == -1 marks node i as a leaf."""
+    """Flat binary tree: feature[i] == -1 marks node i as a leaf.
+
+    A grown tree also holds every node's bootstrap row ``count`` and fail
+    count ``fails``, which `prune` reads; a loaded tree has neither.
+    """
 
     feature: np.ndarray
     threshold: np.ndarray
     left: np.ndarray
     right: np.ndarray
     p_fail: np.ndarray
+    count: np.ndarray | None = field(default=None, repr=False, compare=False)
+    fails: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -225,6 +242,17 @@ def _split_gini(V, y, w):
     return col, thr
 
 
+def _left_sums(w, wy, left):
+    """Per column of ``left``, the sums of ``w`` and of ``wy`` over its true
+    rows, added one row after another in row order whatever the layout of
+    ``left``, so the sums depend on no BLAS build or CPU."""
+    # numpy reduces the first axis of a C-ordered array row after row when a
+    # row holds more than one value; here a row holds 2 x columns
+    terms = np.multiply(np.column_stack([w, wy])[:, :, None], left[:, None, :], order="C")
+    wl, fl = terms.sum(axis=0)
+    return wl, fl
+
+
 def _split_extratrees(V, y, w, rng):
     """One uniform-random threshold per candidate column, best weighted Gini wins.
 
@@ -242,16 +270,13 @@ def _split_extratrees(V, y, w, rng):
         ok = (thr > lo) & (thr < hi)
         if not ok.any():
             return None
-    if w is None:
-        w = np.ones(m)  # sums of unit weights are exact counts in any order
     left = V <= thr
-    # BLAS gemv sums in an order set by the BLAS kernel and the operand layout,
-    # so weighted trees reproduce only on the same BLAS build and CPU, and V
-    # (with it `left`) must stay C-contiguous (m, mtry)
-    wl = w @ left
-    fl = (w * y) @ left
-    total_w = float(w.sum())
-    total_f = float((w * y).sum())
+    if w is None:  # 0/1 terms: BLAS sums them to exact counts in any order
+        wl, fl = np.ones(m) @ left, y @ left
+        total_w, total_f = float(m), float(y.sum())
+    else:
+        wl, fl = _left_sums(w, w * y, left)
+        total_w, total_f = float(w.sum()), float((w * y).sum())
     wl = np.where(ok, wl, 1.0)  # avoid 0/0 on masked columns
     wr = np.where(ok, total_w - wl, 1.0)
     fr = total_f - fl
@@ -264,30 +289,36 @@ def _grow_tree(X, y, w, hp: Hyperparams, rng) -> Tree:
     """Grow one CART tree on a bootstrap sample.
 
     Nodes smaller than min_node_size, pure nodes, and nodes without a valid
-    split become leaves. Children are explored left-first so node numbering
-    and RNG consumption are deterministic.
+    split become leaves. Children are explored left-first, so node numbering
+    is deterministic. ``rng`` gives the tree's 64-bit key; a node to split
+    draws its candidate features (and its extratrees thresholds) from the
+    stream of its path key, so its draws do not depend on min_node_size.
     """
     n, p = X.shape
     cap = 2 * n - 1  # every leaf holds a row, so a tree has at most 2n - 1 nodes
     feature, left, right = [-1] * cap, [-1] * cap, [-1] * cap
     threshold, p_fail = [math.nan] * cap, [math.nan] * cap
+    count, fail_count = [0] * cap, [0] * cap
+    streams = KeyedStream()
     size = 1
-    stack = [(np.arange(n), 0)]
+    stack = [(np.arange(n), 0, int(rng.integers(0, 1 << 64, dtype=np.uint64)))]
     while stack:
-        idx, slot = stack.pop()
+        idx, slot, key = stack.pop()
         yn = y[idx]
         fails = float(yn.sum())
         m = idx.size
+        count[slot], fail_count[slot] = m, int(fails)
         if m < hp.min_node_size or fails == 0.0 or fails == m:
             p_fail[slot] = fails / m
             continue
-        feats = rng.choice(p, size=hp.mtry, replace=False)
-        V = X.take(idx, 0).take(feats, 1)  # C-contiguous (m, mtry)
+        node_rng = streams.at(key)
+        feats = node_rng.random(p).argsort(kind="stable")[:hp.mtry]
+        V = X.take(idx, 0).take(feats, 1)
         wn = w[idx] if w is not None else None
         if hp.splitrule == GINI:
             res = _split_gini(V, yn, wn)
         else:
-            res = _split_extratrees(V, yn, wn, rng)
+            res = _split_extratrees(V, yn, wn, node_rng)
         if res is None:
             p_fail[slot] = fails / m
             continue
@@ -295,8 +326,8 @@ def _grow_tree(X, y, w, hp: Hyperparams, rng) -> Tree:
         go_left = V[:, col] <= thr
         feature[slot], threshold[slot] = int(feats[col]), thr
         left[slot], right[slot] = size, size + 1
-        stack.append((idx[~go_left], size + 1))
-        stack.append((idx[go_left], size))
+        stack.append((idx[~go_left], size + 1, path_key(key, 1)))
+        stack.append((idx[go_left], size, path_key(key, 0)))
         size += 2
 
     return Tree(
@@ -305,6 +336,42 @@ def _grow_tree(X, y, w, hp: Hyperparams, rng) -> Tree:
         left=np.array(left[:size], dtype=np.int32),
         right=np.array(right[:size], dtype=np.int32),
         p_fail=np.array(p_fail[:size], dtype=np.float64),
+        count=np.array(count[:size], dtype=np.int32),
+        fails=np.array(fail_count[:size], dtype=np.int32),
+    )
+
+
+def prune(tree: Tree, min_node_size: int) -> Tree:
+    """The tree that the grower gives at ``min_node_size``, from one it grew
+    at a smaller size (or the same): every split node of fewer bootstrap rows
+    becomes a leaf of value fails / rows, and its subtree goes.
+
+    Node draws are keyed by path, so a kept node splits as it did, and the
+    kept nodes keep their relative order: the grower numbers children in the
+    order their parents split, which cutting subtrees does not change.
+    """
+    if tree.count is None:
+        raise ValueError("prune needs a grown tree; a loaded one has no node counts")
+    cut = (tree.feature >= 0) & (tree.count < min_node_size)
+    if not cut.any():
+        return tree
+    split = (tree.feature >= 0) & ~cut
+    keep = np.zeros(tree.feature.size, dtype=bool)
+    level = np.zeros(1, dtype=np.intp)
+    while level.size:  # one pass per level, from the root
+        keep[level] = True
+        level = level[split[level]]
+        level = np.concatenate([tree.left[level], tree.right[level]])
+    new_index = np.cumsum(keep, dtype=np.int32) - 1
+    p_fail = np.where(cut, tree.fails / tree.count, tree.p_fail)
+    return Tree(
+        feature=np.where(split, tree.feature, -1)[keep],
+        threshold=np.where(split, tree.threshold, math.nan)[keep],
+        left=np.where(split, new_index[tree.left], -1)[keep],
+        right=np.where(split, new_index[tree.right], -1)[keep],
+        p_fail=p_fail[keep],
+        count=tree.count[keep],
+        fails=tree.fails[keep],
     )
 
 
@@ -391,13 +458,18 @@ def evaluate(model: RandomForestModel, test: LabeledDataset) -> EvalMetrics:
     return EvalMetrics(accuracy=accuracy, auc=auc, f1=float(f1))
 
 
-def tune(train: LabeledDataset, grid, cv: CvSpec, weights: ClassWeights) -> Hyperparams:
-    """Pick the grid point with the best mean CV objective over folds x repeats.
+def shared_forests(grid) -> dict[tuple, list[int]]:
+    """The grid's points by the forest they share in `tune`, keyed
+    (mtry, splitrule, n_trees): one forest grown at the smallest of their
+    min_node_sizes gives each of them by `prune`."""
+    shared: dict[tuple, list[int]] = {}
+    for gi, hp in enumerate(grid):
+        shared.setdefault((hp.mtry, hp.splitrule, hp.n_trees), []).append(gi)
+    return shared
 
-    Folds are stratified; the same fold layout and forest seeds are shared by
-    every grid point so the comparison is paired. Ties keep the earlier grid
-    point.
-    """
+
+def _cv_totals(train: LabeledDataset, grid, cv: CvSpec, weights: ClassWeights) -> np.ndarray:
+    """Each grid point's CV objective summed over repeats x folds, in that order."""
     grid = list(grid)
     if not grid:
         raise ValueError("tuning grid is empty")
@@ -407,6 +479,7 @@ def tune(train: LabeledDataset, grid, cv: CvSpec, weights: ClassWeights) -> Hype
             raise ValueError(
                 f"fold infeasibility: class {lab!r} has {c} rows, fewer than {cv.folds} folds"
             )
+    shared = shared_forests(grid)
     totals = np.zeros(len(grid))
     for r in range(cv.repeats):
         rng = spawn_rng(cv.seed, r)
@@ -421,11 +494,29 @@ def tune(train: LabeledDataset, grid, cv: CvSpec, weights: ClassWeights) -> Hype
             sub_train = train.subset(fit_idx)
             sub_val = train.subset(val_idx)
             fold_seed = derive_seed(cv.seed, 1000 + r, fold)
-            for gi, hp in enumerate(grid):
-                model = fit_forest(sub_train, hp, weights, fold_seed)
-                metrics = evaluate(model, sub_val)
-                totals[gi] += getattr(metrics, cv.objective)
-    return grid[int(np.argmax(totals))]
+            for points in shared.values():
+                smallest = min(grid[gi].min_node_size for gi in points)
+                grown = fit_forest(sub_train, replace(grid[points[0]], min_node_size=smallest),
+                                   weights, fold_seed)
+                for gi in points:
+                    s = grid[gi].min_node_size
+                    model = grown if s == smallest else replace(
+                        grown, trees=tuple(prune(t, s) for t in grown.trees))
+                    totals[gi] += getattr(evaluate(model, sub_val), cv.objective)
+    return totals
+
+
+def tune(train: LabeledDataset, grid, cv: CvSpec, weights: ClassWeights) -> Hyperparams:
+    """Pick the grid point with the best mean CV objective over folds x repeats.
+
+    Folds are stratified; the same fold layout and forest seeds are shared by
+    every grid point so the comparison is paired. Per fold, the points that
+    differ only in min_node_size share one forest (`shared_forests`), and each
+    evaluates its pruned copy, which equals the forest fit at its own size.
+    Ties keep the earlier grid point.
+    """
+    grid = list(grid)
+    return grid[int(np.argmax(_cv_totals(train, grid, cv, weights)))]
 
 
 FOREST_FORMAT = "cfbench-forest 1"

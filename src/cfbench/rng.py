@@ -3,6 +3,12 @@
 `seed_for` hashes a pipeline stage's name into an integer seed; the
 SeedSequence helpers turn integer seeds into Generators. SeedSequence entropy
 must be non-negative, so raw integer seeds are reduced modulo 2**63 first.
+
+`path_key` and `KeyedStream` give one stream per node of a tree: a node's key
+mixes its parent's key with the side it hangs on, and `KeyedStream.at` puts
+one reused Generator at the stream of a key. Nodes therefore draw
+independently of the order in which they are grown, and of which other
+nodes draw at all.
 """
 
 from __future__ import annotations
@@ -35,6 +41,41 @@ def stream_rngs(seed: int, n: int) -> Iterator[np.random.Generator]:
     stream i does not depend on ``n``, so a prefix of a larger set equals a
     smaller set."""
     return (np.random.default_rng(s) for s in np.random.SeedSequence(seed_entropy(seed)).spawn(n))
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def path_key(parent: int, side: int) -> int:
+    """The 64-bit key of the child on ``side`` (0 left, 1 right) of the node
+    keyed ``parent``: the splitmix64 finalizer over parent + (side + 1) * golden
+    ratio, so keys stay 64 bits at any depth."""
+    z = (parent + (side + 1) * 0x9E3779B97F4A7C15) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+class KeyedStream:
+    """One Generator that `at` moves to the stream of a 64-bit key.
+
+    The key k sets the PCG64 state to k * (2**64 + 1), on PCG's default
+    increment, so the streams of two keys start at least 2**64 draws apart
+    on PCG64's one cycle. Moving the state costs less than making a
+    Generator, so one instance serves every node of a tree.
+    """
+
+    _INC = 0x5851F42D4C957F2D14057B7EF767814F
+
+    def __init__(self):
+        self._bits = np.random.PCG64(0)
+        self._rng = np.random.Generator(self._bits)
+
+    def at(self, key: int) -> np.random.Generator:
+        self._bits.state = {"bit_generator": "PCG64",
+                            "state": {"state": (key << 64) | key, "inc": self._INC},
+                            "has_uint32": 0, "uinteger": 0}
+        return self._rng
 
 
 def derive_seed(*parts) -> int:

@@ -250,6 +250,28 @@ class TestGowerCross:
         rows = count_rows(rng, 40, 6)
         assert np.array_equal(gower_cross(rows, cols, table), gower_cross(rows, others, table))
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_columns_match_per_column_unique(self, seed):
+        """Codes from one sort of all columns equal `np.unique` column by
+        column, on tie-heavy columns with -0.0 and 0.0 (one value)."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 60))
+        others = np.column_stack([
+            rng.integers(0, 3, size=n).astype(float),
+            rng.choice([-0.0, 0.0, 1.5], size=n),
+            np.full(n, 2.0),
+            rng.choice([1.0, 1.0 + 2.0 ** -52, -1.0], size=n),
+            rng.normal(size=n),
+        ])
+        cols = GowerColumns.of(others)
+        for j in range(others.shape[1]):
+            values, codes = np.unique(others[:, j], return_inverse=True)
+            assert np.array_equal(cols.values[j], values)  # -0.0 == 0.0
+            assert np.array_equal(cols.codes[j], codes)
+        table = self.table(rng, 5)
+        rows = np.vstack([others[:3], rng.uniform(-3.0, 3.0, size=(4, 5)), [[0.0] * 5]])
+        assert np.array_equal(gower_cross(rows, cols, table), loop_gower_cross(rows, others, table))
+
     def test_errors(self):
         with pytest.raises(ValueError, match="dimension"):
             gower_cross(np.zeros((2, 3)), np.zeros((4, 2)), rt(1, 1))

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,17 +17,20 @@ from cfbench.forest import (
     Hyperparams,
     RandomForestModel,
     Tree,
+    _cv_totals,
     _fit_trees,
     _grow_tree,
+    _left_sums,
     evaluate,
     fit_forest,
     load_model,
+    prune,
     rank_auc,
     save_model,
     tune,
     vanilla_hyperparams,
 )
-from cfbench.rng import stream_rngs
+from cfbench.rng import KeyedStream, derive_seed, path_key, spawn_rng, stream_rngs
 
 from synth import make_blobs
 
@@ -125,8 +129,9 @@ def ref_split_extratrees(V, y, w, rng):
         total_w = float(V.shape[0])
         total_f = float(y.sum())
     else:
-        wl = w @ left
-        fl = (w * y) @ left
+        # row-order sums, as the grower adds them
+        wl = np.cumsum(np.where(left, w[:, None], 0.0), axis=0)[-1]
+        fl = np.cumsum(np.where(left, (w * y)[:, None], 0.0), axis=0)[-1]
         total_w = float(w.sum())
         total_f = float((w * y).sum())
     wl = np.where(ok, wl, 1.0)
@@ -140,9 +145,12 @@ def ref_split_extratrees(V, y, w, rng):
 
 def ref_grow_tree(X, y, w, hp, rng):
     """Reference grower: one `np.ix_` gather per node and a node list grown
-    by appends. The grower in `forest` must give the same trees."""
+    by appends. A node to split draws from the stream of its path key: the
+    tree's key from ``rng`` at the root, `path_key` of its parent's key and
+    side below. The grower in `forest` must give the same trees."""
     p = X.shape[1]
     feature, threshold, left, right, p_fail = [], [], [], [], []
+    streams = KeyedStream()
 
     def new_node():
         feature.append(-1)
@@ -152,22 +160,23 @@ def ref_grow_tree(X, y, w, hp, rng):
         p_fail.append(math.nan)
         return len(feature) - 1
 
-    stack = [(np.arange(X.shape[0]), new_node())]
+    stack = [(np.arange(X.shape[0]), new_node(), int(rng.integers(0, 1 << 64, dtype=np.uint64)))]
     while stack:
-        idx, slot = stack.pop()
+        idx, slot, key = stack.pop()
         yn = y[idx]
         fails = float(yn.sum())
         m = idx.size
         if m < hp.min_node_size or fails == 0.0 or fails == m:
             p_fail[slot] = fails / m
             continue
-        feats = rng.choice(p, size=hp.mtry, replace=False)
+        node_rng = streams.at(key)
+        feats = np.argsort(node_rng.random(p), kind="stable")[:hp.mtry]
         V = X[np.ix_(idx, feats)]
         wn = w[idx] if w is not None else None
         if hp.splitrule == GINI:
             res = ref_split_gini(V, yn, wn)
         else:
-            res = ref_split_extratrees(V, yn, wn, rng)
+            res = ref_split_extratrees(V, yn, wn, node_rng)
         if res is None:
             p_fail[slot] = fails / m
             continue
@@ -179,8 +188,8 @@ def ref_grow_tree(X, y, w, hp, rng):
         threshold[slot] = thr
         left[slot] = li
         right[slot] = ri
-        stack.append((idx[~go_left], ri))
-        stack.append((idx[go_left], li))
+        stack.append((idx[~go_left], ri, path_key(key, 1)))
+        stack.append((idx[go_left], li, path_key(key, 0)))
 
     return Tree(
         feature=np.asarray(feature, dtype=np.int32),
@@ -272,6 +281,92 @@ class TestGrowerOracle:
                     assert all(trees_equal(a, b) for a, b in zip(got, want)), (rule, weights, mtry)
 
 
+def counts_equal(a, b):
+    return np.array_equal(a.count, b.count) and np.array_equal(a.fails, b.fails)
+
+
+class TestPrune:
+    """A forest grown at min_node_size s is the s = 1 forest pruned at s."""
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    @given(grower_cases())
+    def test_grown_equals_pruned(self, case):
+        ds, hp, weights, seed = case
+        full = fit_forest(ds, replace(hp, min_node_size=1), weights, seed).trees
+        for s in (2, 5, 10):
+            grown = fit_forest(ds, replace(hp, min_node_size=s), weights, seed).trees
+            pruned = [prune(t, s) for t in full]
+            assert all(trees_equal(a, b) and counts_equal(a, b) for a, b in zip(grown, pruned)), s
+
+    def test_rules_and_weightings_on_counts(self):
+        """Both split rules and both weightings, on a frame deep enough that
+        the sizes 5 and 10 cut nodes."""
+        ds = make_blobs(n=300, p=8, seed=44, separation=0.7)
+        ds = LabeledDataset.from_arrays(np.rint(np.abs(ds.features) * 4.0), ds.labels)
+        for rule in (GINI, EXTRATREES):
+            for weights in (ClassWeights.unit(), cost_weights(ds)):
+                hp = Hyperparams(3, rule, 1, n_trees=4)
+                full = fit_forest(ds, hp, weights, seed=5).trees
+                for s in (2, 5, 10):
+                    grown = fit_forest(ds, replace(hp, min_node_size=s), weights, seed=5).trees
+                    pruned = [prune(t, s) for t in full]
+                    assert all(trees_equal(a, b) for a, b in zip(grown, pruned)), (rule, s)
+                    # a one-row node is pure, so s = 2 cuts nothing
+                    cuts = sum(t.feature.size for t in grown) < sum(t.feature.size for t in full)
+                    assert cuts == (s > 2), (rule, s)
+
+    def test_node_counts(self):
+        """A node's count and fails are its bootstrap rows and their fails,
+        and a leaf's value is their ratio."""
+        ds = make_blobs(n=80, p=4, seed=3)
+        X = ds.features
+        y01 = (ds.labels == FAIL).astype(np.float64)
+        (tree,), inbag = _fit_trees(X, y01, Hyperparams(2, GINI, 3, n_trees=1), 8, None, False,
+                                    None, True)
+        rows = np.repeat(np.arange(ds.n), inbag[0])
+        stack = [(0, rows)]
+        while stack:
+            node, idx = stack.pop()
+            assert tree.count[node] == idx.size and tree.fails[node] == y01[idx].sum()
+            f = int(tree.feature[node])
+            if f < 0:
+                assert tree.p_fail[node] == tree.fails[node] / tree.count[node]
+                continue
+            go_left = X[idx, f] <= tree.threshold[node]
+            stack.append((int(tree.left[node]), idx[go_left]))
+            stack.append((int(tree.right[node]), idx[~go_left]))
+
+    def test_loaded_tree_cannot_be_pruned(self, tmp_path):
+        ds = make_blobs(n=40, p=3, seed=2)
+        model = fit_forest(ds, Hyperparams(2, GINI, 1, n_trees=2), ClassWeights.unit(), seed=0)
+        save_model(model, tmp_path / "m.forest")
+        with pytest.raises(ValueError, match="node counts"):
+            prune(load_model(tmp_path / "m.forest").trees[0], 5)
+
+
+class TestLeftSums:
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(st.integers(1, 300), st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
+    def test_row_order_in_any_layout(self, m, k, seed):
+        """The weighted extratrees sums equal a row-order loop, also for one
+        column and for a Fortran-ordered node matrix."""
+        rng = np.random.default_rng(seed)
+        w = rng.gamma(1.0, size=m) * 10.0 ** rng.integers(-3, 4, size=m)
+        wy = w * (rng.random(m) < 0.4)
+        V = rng.integers(0, 4, size=(m, k)).astype(float)
+        thr = rng.uniform(0.0, 3.0, size=k)
+        want = np.zeros((2, k))
+        for j in range(k):
+            for i in range(m):
+                if V[i, j] <= thr[j]:
+                    want[0, j] += w[i]
+                    want[1, j] += wy[i]
+        for layout in (np.ascontiguousarray(V), np.asfortranarray(V)):
+            wl, fl = _left_sums(w, wy, layout <= thr)
+            assert wl.tolist() == want[0].tolist() and fl.tolist() == want[1].tolist()
+
+
 class TestFit:
     def test_separable_training_accuracy(self):
         ds = separable_dataset()
@@ -294,6 +389,14 @@ class TestFit:
         a = fit_forest(ds, hp, ClassWeights.unit(), seed=3).predict_proba_batch(probe)
         b = fit_forest(ds, hp, ClassWeights.unit(), seed=3).predict_proba_batch(probe)
         np.testing.assert_array_equal(a, b)
+
+    def test_prefix_of_a_larger_forest(self):
+        ds = make_blobs(n=70, p=4, seed=13)
+        for rule in (GINI, EXTRATREES):
+            for weights in (ClassWeights.unit(), cost_weights(ds)):
+                small = fit_forest(ds, Hyperparams(2, rule, 3, n_trees=3), weights, seed=4).trees
+                large = fit_forest(ds, Hyperparams(2, rule, 3, n_trees=7), weights, seed=4).trees
+                assert all(trees_equal(a, b) for a, b in zip(small, large[:3])), rule
 
     def test_mtry_exceeds_p(self):
         ds = make_blobs(n=30, p=3)
@@ -535,6 +638,27 @@ class TestEvaluate:
             assert 0.0 <= v <= 1.0
 
 
+def ref_cv_totals(train, grid, cv, weights):
+    """Reference CV totals: one forest fit per grid point, fold and repeat,
+    on the folds and fold seeds that `tune` uses."""
+    counts = train.class_counts()
+    totals = np.zeros(len(grid))
+    for r in range(cv.repeats):
+        rng = spawn_rng(cv.seed, r)
+        assign = np.empty(train.n, dtype=np.int64)
+        for lab in counts:
+            members = train.indices_of(lab)
+            perm = rng.permutation(members.size)
+            assign[members[perm]] = np.arange(members.size) % cv.folds
+        for fold in range(cv.folds):
+            sub_train = train.subset(np.flatnonzero(assign != fold))
+            sub_val = train.subset(np.flatnonzero(assign == fold))
+            for gi, hp in enumerate(grid):
+                model = fit_forest(sub_train, hp, weights, derive_seed(cv.seed, 1000 + r, fold))
+                totals[gi] += getattr(evaluate(model, sub_val), cv.objective)
+    return totals
+
+
 class TestTune:
     def test_single_point_grid(self):
         ds = make_blobs(n=60, p=3, seed=25)
@@ -558,6 +682,21 @@ class TestTune:
         ds = make_blobs(n=30)
         with pytest.raises(ValueError, match="empty"):
             tune(ds, [], CvSpec(folds=2, repeats=1, seed=0), ClassWeights.unit())
+
+    @pytest.mark.parametrize("objective,weighted", [("auc", False), ("f1", True),
+                                                    ("accuracy", True)])
+    def test_matches_one_fit_per_grid_point(self, objective, weighted):
+        """Shared, pruned forests give the totals and the pick of one forest
+        fit per grid point; sizes out of order and a repeated point included."""
+        ds = make_blobs(n=120, p=5, seed=31, separation=0.6)
+        weights = cost_weights(ds) if weighted else ClassWeights.unit()
+        grid = [Hyperparams(m, rule, s, n_trees=3)
+                for m in (1, 4) for rule in (GINI, EXTRATREES) for s in (5, 1, 10)]
+        grid.append(Hyperparams(4, GINI, 5, n_trees=3))
+        cv = CvSpec(folds=3, repeats=2, objective=objective, seed=7)
+        want = ref_cv_totals(ds, grid, cv, weights)
+        np.testing.assert_array_equal(_cv_totals(ds, grid, cv, weights), want)
+        assert tune(ds, grid, cv, weights) == grid[int(np.argmax(want))]
 
     def test_picks_clearly_better_point(self):
         # mtry=2 on 2 informative features beats a stump-ish min_node_size equal
