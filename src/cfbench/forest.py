@@ -270,13 +270,11 @@ def _split_extratrees(V, y, w, rng):
         ok = (thr > lo) & (thr < hi)
         if not ok.any():
             return None
+    if w is None:
+        w = np.ones(m)
     left = V <= thr
-    if w is None:  # 0/1 terms: BLAS sums them to exact counts in any order
-        wl, fl = np.ones(m) @ left, y @ left
-        total_w, total_f = float(m), float(y.sum())
-    else:
-        wl, fl = _left_sums(w, w * y, left)
-        total_w, total_f = float(w.sum()), float((w * y).sum())
+    wl, fl = _left_sums(w, w * y, left)
+    total_w, total_f = float(w.sum()), float((w * y).sum())
     wl = np.where(ok, wl, 1.0)  # avoid 0/0 on masked columns
     wr = np.where(ok, total_w - wl, 1.0)
     fr = total_f - fl

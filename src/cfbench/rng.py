@@ -60,9 +60,12 @@ class KeyedStream:
     """One Generator that `at` moves to the stream of a 64-bit key.
 
     The key k sets the PCG64 state to k * (2**64 + 1), on PCG's default
-    increment, so the streams of two keys start at least 2**64 draws apart
-    on PCG64's one cycle. Moving the state costs less than making a
-    Generator, so one instance serves every node of a tree.
+    increment. A root key is a uniform draw and a child key a splitmix64
+    output, so each stream starts at a well-mixed point of PCG64's 2**128
+    cycle. A node takes under a hundred draws, so two nodes' streams
+    overlapping is negligible, though nothing rules it out. Moving the
+    state costs less than making a Generator, so one instance serves every
+    node of a tree.
     """
 
     _INC = 0x5851F42D4C957F2D14057B7EF767814F
