@@ -283,17 +283,21 @@ def prepare_training(config: ExperimentConfig, train: LabeledDataset, balancing:
 
 def fit_block(config: ExperimentConfig, method_train: LabeledDataset,
               weights: balance.ClassWeights, balancing: str, tuning: str):
-    """Fit (and optionally tune) the forest for one (balancing, tuning) block."""
+    """Fit (and optionally tune) the forest for one (balancing, tuning) block.
+    Returns the forest, its hyperparameters and the seconds spent tuning."""
+    tune_seconds = 0.0
     if tuning == VANILLA:
         hp = forest.vanilla_hyperparams(method_train.p, n_trees=config.n_trees)
     else:
         cv = forest.CvSpec(folds=config.tune_folds, repeats=config.tune_repeats,
                            objective=config.tune_objective,
                            seed=seed_for(config.master_seed, Cell(balancing, tuning, "-"), "tune"))
+        t0 = time.perf_counter()
         hp = forest.tune(method_train, config.grid(method_train.p), cv, weights)
+        tune_seconds = time.perf_counter() - t0
     fit_seed = seed_for(config.master_seed, Cell(balancing, tuning, "-"), "fit")
     model = forest.fit_forest(method_train, hp, weights, fit_seed)
-    return model, hp
+    return model, hp, tune_seconds
 
 
 def generate_for_cell(config: ExperimentConfig, cell: Cell, model, method_train: LabeledDataset,
@@ -409,8 +413,9 @@ class Pipeline:
     def block(self, balancing: str, tuning: str):
         """The block's training set, forest and manifest entry, which holds
         the forest's hyperparameters and test metrics, its ``trees`` and
-        ``nodes``, and ``tune_fits``, the forests fit while tuning it
-        (distinct (mtry, splitrule, n_trees) x folds x repeats, 0 for vanilla).
+        ``nodes``, ``tune_fits``, the forests fit while tuning it
+        (distinct (mtry, splitrule, n_trees) x folds x repeats, 0 for vanilla),
+        and ``tune_seconds``, the seconds inside `forest.tune` (0 for vanilla).
 
         The forest is loaded when its entry is reusable. Otherwise it is fit
         (and tuned), evaluated and saved with its meta; ``seconds`` cover the
@@ -428,7 +433,8 @@ class Pipeline:
                 entry = self._record(self.manifest.blocks, name, {**prev, "resumed": True}, files)
                 return method_train, model, entry
             t0 = time.perf_counter()
-            model, hp = fit_block(self.config, method_train, weights, balancing, tuning)
+            model, hp, tune_seconds = fit_block(self.config, method_train, weights,
+                                                balancing, tuning)
             metrics = forest.evaluate(model, self.split.test)
             tune_fits = 0 if tuning == VANILLA else \
                 len(forest.shared_forests(self.config.grid(method_train.p))) \
@@ -451,7 +457,7 @@ class Pipeline:
         entry = self._record(self.manifest.blocks, name, {
             "status": "done", "key": key, "seconds": round(time.perf_counter() - t0, 3),
             "trees": model.n_trees, "nodes": int(model.table.feature.size), "tune_fits": tune_fits,
-            **meta}, files)
+            "tune_seconds": round(tune_seconds, 3), **meta}, files)
         return method_train, model, entry
 
     def cell(self, cell: Cell, model, method_train: LabeledDataset, fail_rows) -> None:

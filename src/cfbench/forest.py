@@ -19,6 +19,14 @@ no node's draws depend on which other nodes split, and the tree grown at
 bootstrap rows made a leaf (`prune`). `tune` uses this to grow one forest per
 (mtry, splitrule) and fold for all its min_node_sizes. A fitted model is
 immutable and safe for concurrent prediction.
+
+Trees grow level by level, a group of trees at a time (`_grow_group`), and
+their nodes are numbered depth first afterwards, so the order of growth
+shows in no tree. The two rules search differently because their costs
+differ. A gini node sorts its rows per candidate column, so it is split on
+its own. An extratrees node sorts nothing and does little arithmetic, so
+per-call overhead dominates: a level's extratrees nodes are split in one
+batch of segment-wise numpy operations, whose sums equal a lone node's.
 """
 
 from __future__ import annotations
@@ -245,98 +253,180 @@ def _split_gini(V, y, w):
 def _left_sums(w, wy, left):
     """Per column of ``left``, the sums of ``w`` and of ``wy`` over its true
     rows, added one row after another in row order whatever the layout of
-    ``left``, so the sums depend on no BLAS build or CPU."""
+    ``left``, so the sums depend on no BLAS build or CPU.
+
+    ``w`` and ``wy`` are (rows,) or (rows, blocks) and ``left`` is (rows,
+    columns) or (rows, blocks, columns); each block is summed on its own.
+    A block padded with zero weights after its last row sums as unpadded."""
     # numpy reduces the first axis of a C-ordered array row after row when a
-    # row holds more than one value; here a row holds 2 x columns
-    terms = np.multiply(np.column_stack([w, wy])[:, :, None], left[:, None, :], order="C")
-    wl, fl = terms.sum(axis=0)
-    return wl, fl
+    # row holds more than one value; here a row holds blocks x 2 x columns
+    terms = np.multiply(np.stack([w, wy], axis=-1)[..., None], left[..., None, :], order="C")
+    sums = terms.sum(axis=0)
+    return sums[..., 0, :], sums[..., 1, :]
 
 
-def _split_extratrees(V, y, w, rng):
-    """One uniform-random threshold per candidate column, best weighted Gini wins.
+def _split_extratrees(X, y, w, rows, sizes, feats, u):
+    """Extratrees splits of many nodes at once: one threshold per candidate
+    column, ``lo + u * (hi - lo)`` in the node's value range, best weighted
+    Gini wins.
 
-    Thresholds are forced strictly inside the node's value range so both
-    children are non-empty; constant columns are skipped.
+    Node i holds the next ``sizes[i]`` entries of ``rows`` (rows of ``X``)
+    and draws columns ``feats[i]`` with uniforms ``u[i]``. Thresholds are
+    forced strictly inside the range so both children are non-empty;
+    constant columns are skipped. Returns each node's column index into
+    ``feats[i]`` (-1 when no column can split) and threshold. Every sum is
+    the one a node alone gives: unit weights count exactly, and weighted
+    sums add rows in row order, in zero-padded blocks of nodes whose sizes
+    are within a factor of 2.
     """
-    m, mtry = V.shape
-    VT = V.T.copy()  # reducing rows is faster than reducing columns
-    lo, hi = VT.min(axis=1), VT.max(axis=1)
-    thr = lo + rng.random(mtry) * (hi - lo)
+    k, mtry = feats.shape
+    starts = np.cumsum(sizes) - sizes
+    # flat indices into X, which is C-ordered
+    V = X.take(np.repeat(feats, sizes, axis=0) + (rows * X.shape[1])[:, None])
+    lo = np.minimum.reduceat(V, starts)
+    hi = np.maximum.reduceat(V, starts)
+    thr = lo + u * (hi - lo)
+    # a constant column, or a threshold rounded onto an end
+    thr = np.where(thr <= lo, np.nextafter(lo, hi), thr)
+    thr = np.where(thr >= hi, np.nextafter(hi, lo), thr)
     ok = (thr > lo) & (thr < hi)
-    if not ok.all():  # a constant column, or a threshold rounded onto an end
-        thr = np.where(thr <= lo, np.nextafter(lo, hi), thr)
-        thr = np.where(thr >= hi, np.nextafter(hi, lo), thr)
-        ok = (thr > lo) & (thr < hi)
-        if not ok.any():
-            return None
+    left = V <= np.repeat(thr, sizes, axis=0)
+    del V  # the sums below need only ``left``; a level's values are its largest array
     if w is None:
-        w = np.ones(m)
-    left = V <= thr
-    wl, fl = _left_sums(w, w * y, left)
-    total_w, total_f = float(w.sum()), float((w * y).sum())
+        yr = y[rows]
+        total_w, total_f = sizes.astype(np.float64), np.add.reduceat(yr, starts)
+        wl = np.add.reduceat(left, starts, dtype=np.intp).astype(np.float64)
+        fl = np.add.reduceat(left & (yr > 0.0)[:, None], starts, dtype=np.intp).astype(np.float64)
+    else:
+        wr, wyr = w[rows], w[rows] * y[rows]
+        # pairwise sums, as a node's own arrays give them
+        segments = list(zip(starts.tolist(), (starts + sizes).tolist()))
+        total_w = np.array([wr[a:b].sum() for a, b in segments])
+        total_f = np.array([wyr[a:b].sum() for a, b in segments])
+        wl, fl = np.empty((k, mtry)), np.empty((k, mtry))
+        bucket = np.frexp(sizes)[1]
+        for b in np.unique(bucket):
+            nodes = np.flatnonzero(bucket == b)
+            offset = np.arange(sizes[nodes].max())[:, None]
+            pad = offset >= sizes[nodes]
+            at = np.where(pad, 0, starts[nodes] + offset)
+            wl[nodes], fl[nodes] = _left_sums(np.where(pad, 0.0, wr[at]),
+                                              np.where(pad, 0.0, wyr[at]), left[at])
+    total_w, total_f = total_w[:, None], total_f[:, None]
     wl = np.where(ok, wl, 1.0)  # avoid 0/0 on masked columns
     wr = np.where(ok, total_w - wl, 1.0)
     fr = total_f - fl
     score = (wl - (fl * fl + (wl - fl) ** 2) / wl) + (wr - (fr * fr + (wr - fr) ** 2) / wr)
-    col = int(np.where(ok, score, np.inf).argmin())
-    return col, float(thr[col])
+    col = np.where(ok, score, np.inf).argmin(axis=1)
+    return np.where(ok.any(axis=1), col, -1), thr[np.arange(k), col]
 
 
-def _grow_tree(X, y, w, hp: Hyperparams, rng) -> Tree:
-    """Grow one CART tree on a bootstrap sample.
+# Trees grown together hold at most this many (bootstrap row, candidate
+# column) cells, which bounds the memory of one level's extratrees batch
+_GROUP_CELLS = 1 << 16
+
+
+def _grow_group(X, y, w, hp: Hyperparams, boots, keys, streams: KeyedStream) -> list[Tree]:
+    """Grow one CART tree per bootstrap sample in ``boots`` (rows of ``X``),
+    level by level over all the trees at once.
 
     Nodes smaller than min_node_size, pure nodes, and nodes without a valid
-    split become leaves. Children are explored left-first, so node numbering
-    is deterministic. ``rng`` gives the tree's 64-bit key; a node to split
-    draws its candidate features (and its extratrees thresholds) from the
-    stream of its path key, so its draws do not depend on min_node_size.
+    split become leaves. A node to split draws its candidate columns (and
+    extratrees uniforms) from the stream of its path key, rooted at the
+    tree's entry in ``keys``, so its draws depend on neither min_node_size
+    nor growth order. Gini nodes are split one at a time, since their
+    search sorts; a level's extratrees nodes are split in one batch.
     """
     n, p = X.shape
-    cap = 2 * n - 1  # every leaf holds a row, so a tree has at most 2n - 1 nodes
-    feature, left, right = [-1] * cap, [-1] * cap, [-1] * cap
-    threshold, p_fail = [math.nan] * cap, [math.nan] * cap
-    count, fail_count = [0] * cap, [0] * cap
-    streams = KeyedStream()
-    size = 1
-    stack = [(np.arange(n), 0, int(rng.integers(0, 1 << 64, dtype=np.uint64)))]
-    while stack:
-        idx, slot, key = stack.pop()
-        yn = y[idx]
-        fails = float(yn.sum())
-        m = idx.size
-        count[slot], fail_count[slot] = m, int(fails)
-        if m < hp.min_node_size or fails == 0.0 or fails == m:
-            p_fail[slot] = fails / m
-            continue
-        node_rng = streams.at(key)
-        feats = node_rng.random(p).argsort(kind="stable")[:hp.mtry]
-        V = X.take(idx, 0).take(feats, 1)
-        wn = w[idx] if w is not None else None
-        if hp.splitrule == GINI:
-            res = _split_gini(V, yn, wn)
-        else:
-            res = _split_extratrees(V, yn, wn, node_rng)
-        if res is None:
-            p_fail[slot] = fails / m
-            continue
-        col, thr = res
-        go_left = V[:, col] <= thr
-        feature[slot], threshold[slot] = int(feats[col]), thr
-        left[slot], right[slot] = size, size + 1
-        stack.append((idx[~go_left], size + 1, path_key(key, 1)))
-        stack.append((idx[go_left], size, path_key(key, 0)))
-        size += 2
+    extra = hp.splitrule == EXTRATREES
+    rows = np.concatenate(boots)  # each node's rows, node after node
+    sizes = np.full(len(boots), n)
+    tree = np.arange(len(boots))
+    levels = []
+    while sizes.size:
+        starts = np.cumsum(sizes) - sizes
+        fails = np.add.reduceat(y[rows], starts)
+        to_split = (sizes >= hp.min_node_size) & (fails > 0.0) & (fails < sizes)
+        cand = np.flatnonzero(to_split)
+        draws = np.empty((cand.size, p + hp.mtry if extra else p))
+        for j, i in enumerate(cand.tolist()):
+            streams.at(keys[i]).random(out=draws[j])
+        feats = draws[:, :p].argsort(axis=1, kind="stable")[:, :hp.mtry]
+        feature = np.full(sizes.size, -1, dtype=np.int32)
+        threshold = np.full(sizes.size, math.nan)
+        if not extra:
+            for j, i in enumerate(cand.tolist()):
+                seg = rows[starts[i]:starts[i] + sizes[i]]
+                res = _split_gini(X.take(seg, 0).take(feats[j], 1), y[seg],
+                                  None if w is None else w[seg])
+                if res is not None:
+                    feature[i], threshold[i] = feats[j, res[0]], res[1]
+        elif cand.size:
+            col, thr = _split_extratrees(X, y, w, rows[np.repeat(to_split, sizes)], sizes[cand],
+                                         feats, draws[:, p:])
+            found = col >= 0
+            feature[cand[found]] = feats[found, col[found]]
+            threshold[cand[found]] = thr[found]
+        levels.append((tree, sizes, fails, feature, threshold))
+        # a split node's rows go to its left child, then its right one; the
+        # children of the level's j-th split node are the next level's 2j, 2j + 1
+        split = feature >= 0
+        rows, kept = rows[np.repeat(split, sizes)], sizes[split]
+        go_left = X.take(rows * p + np.repeat(feature[split], kept)) <= \
+            np.repeat(threshold[split], kept)
+        child = np.repeat(np.arange(0, 2 * kept.size, 2), kept) + ~go_left
+        # a stable sort of small integers is a radix sort
+        child = child.astype(np.min_scalar_type(2 * kept.size))
+        rows = rows[np.argsort(child, kind="stable")]
+        sizes = np.bincount(child, minlength=2 * kept.size)
+        tree = np.repeat(tree[split], 2)
+        keys = [path_key(keys[i], side) for i in np.flatnonzero(split).tolist() for side in (0, 1)]
+    return _number_nodes(levels)
 
-    return Tree(
-        feature=np.array(feature[:size], dtype=np.int32),
-        threshold=np.array(threshold[:size], dtype=np.float64),
-        left=np.array(left[:size], dtype=np.int32),
-        right=np.array(right[:size], dtype=np.int32),
-        p_fail=np.array(p_fail[:size], dtype=np.float64),
-        count=np.array(count[:size], dtype=np.int32),
-        fails=np.array(fail_count[:size], dtype=np.int32),
-    )
+
+def _number_nodes(levels) -> list[Tree]:
+    """The trees of `_grow_group`'s ``levels``, each node numbered depth
+    first, left first, as a recursive grower numbers them: the children of a
+    tree's k-th split node in that order are its nodes 2k + 1 and 2k + 2."""
+    # split nodes in each node's subtree, from the deepest level up
+    subtree, below = [], np.zeros(0, dtype=np.intp)
+    for *_, feature, _ in reversed(levels):
+        split = feature >= 0
+        s = split.astype(np.intp)
+        s[split] += below[0::2] + below[1::2]
+        subtree.append(s)
+        below = s
+    subtree.reverse()
+    n_nodes = 1 + 2 * subtree[0]
+    offset = np.cumsum(n_nodes) - n_nodes
+    # top down: each node's index in the group's nodes, and its children's
+    # numbers; ``before`` counts the split nodes that precede it in its tree
+    before = number = np.zeros(n_nodes.size, dtype=np.intp)
+    at, left, right = [], [], []
+    for (tree, _, _, feature, _), below in zip(levels, subtree[1:] + [None]):
+        split = feature >= 0
+        at.append(offset[tree] + number)
+        left.append(np.where(split, 2 * before + 1, -1))
+        right.append(np.where(split, 2 * before + 2, -1))
+        if below is not None:
+            k = before[split]
+            before = np.column_stack([k + 1, k + 1 + below[0::2]]).ravel()
+            number = np.column_stack([2 * k + 1, 2 * k + 2]).ravel()
+    order = np.empty(n_nodes.sum(), dtype=np.intp)
+    order[np.concatenate(at)] = np.arange(order.size)
+
+    def field(values, dtype):
+        return np.concatenate(values).astype(dtype)[order]
+
+    feature = field([lv[3] for lv in levels], np.int32)
+    count = field([lv[1] for lv in levels], np.int32)
+    fails = field([lv[2] for lv in levels], np.int32)
+    arrays = dict(feature=feature, threshold=field([lv[4] for lv in levels], np.float64),
+                  left=field(left, np.int32), right=field(right, np.int32),
+                  p_fail=np.where(feature >= 0, math.nan, fails / count),
+                  count=count, fails=fails)
+    return [Tree(**{name: a[lo:hi] for name, a in arrays.items()})
+            for lo, hi in zip(offset, offset + n_nodes)]
 
 
 def prune(tree: Tree, min_node_size: int) -> Tree:
@@ -374,18 +464,27 @@ def prune(tree: Tree, min_node_size: int) -> Tree:
 
 
 def _fit_trees(X, y01, hp, seed, row_weight, weighted_split, bootstrap_p, keep_inbag):
+    """The forest's trees and, with ``keep_inbag``, each tree's bootstrap
+    counts. Tree t draws its bootstrap and then its key from stream t; trees
+    are grown in groups of at most `_GROUP_CELLS` cells, one stream of node
+    draws serving them all."""
+    X = np.ascontiguousarray(X)
     n = X.shape[0]
     trees = []
     inbag = np.zeros((hp.n_trees, n), dtype=np.uint16) if keep_inbag else None
+    w = row_weight if weighted_split else None
+    group = max(1, _GROUP_CELLS // (n * hp.mtry))
+    streams = KeyedStream()
+    boots, keys = [], []
     for t, rng in enumerate(stream_rngs(seed, hp.n_trees)):
-        if bootstrap_p is None:
-            idxb = rng.choice(n, size=n, replace=True)
-        else:
-            idxb = rng.choice(n, size=n, replace=True, p=bootstrap_p)
+        idxb = rng.choice(n, size=n, replace=True, p=bootstrap_p)
         if keep_inbag:
             inbag[t] = np.bincount(idxb, minlength=n)
-        wb = row_weight[idxb] if weighted_split else None
-        trees.append(_grow_tree(X[idxb], y01[idxb], wb, hp, rng))
+        boots.append(idxb)
+        keys.append(int(rng.integers(0, 1 << 64, dtype=np.uint64)))
+        if len(boots) == group or t == hp.n_trees - 1:
+            trees.extend(_grow_group(X, y01, w, hp, boots, keys, streams))
+            boots, keys = [], []
     return tuple(trees), inbag
 
 

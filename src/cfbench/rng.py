@@ -65,7 +65,8 @@ class KeyedStream:
     cycle. A node takes under a hundred draws, so two nodes' streams
     overlapping is negligible, though nothing rules it out. Moving the
     state costs less than making a Generator, so one instance serves every
-    node of a tree.
+    node of a forest. `at` also clears the buffered 32-bit half, so the
+    draws at a key do not depend on what the instance drew before.
     """
 
     _INC = 0x5851F42D4C957F2D14057B7EF767814F

@@ -329,6 +329,9 @@ class TestRun:
             assert entry["trees"] == model.n_trees == 5
             assert entry["nodes"] == sum(t.feature.size for t in model.trees)
             assert entry["tune_fits"] == fits
+            # tuning is part of the block's seconds
+            assert (entry["tune_seconds"] == 0.0) == (tuning == "vanilla")
+            assert 0.0 <= entry["tune_seconds"] <= entry["seconds"]
         resumed = run(config).blocks
         for name, entry in blocks.items():
             assert resumed[name] == {**entry, "resumed": True}
@@ -487,7 +490,7 @@ class TestHoisting:
         pipe = Pipeline.open(config)
         cell = Cell("oversampling", "vanilla", method)
         train, weights = prepare_training(config, pipe.split.train, cell.balancing)
-        model, _ = fit_block(config, train, weights, cell.balancing, cell.tuning)
+        model, _, _ = fit_block(config, train, weights, cell.balancing, cell.tuning)
         fail_rows = fail_predicted_rows(model, pipe.split.test, 4)
         assert len(fail_rows) > 1 and train.n > 1 + train.p  # a score call is never pool-sized
         expected, values = one_at_a_time(config, cell, model, train, pipe.split.test,

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from cfbench import forest
 from cfbench.balance import ClassWeights, cost_weights
 from cfbench.bench import ExperimentConfig, fail_predicted_rows
 from cfbench.dataset import FAIL, PASS, LabeledDataset
@@ -19,7 +20,6 @@ from cfbench.forest import (
     Tree,
     _cv_totals,
     _fit_trees,
-    _grow_tree,
     _left_sums,
     evaluate,
     fit_forest,
@@ -285,6 +285,61 @@ def counts_equal(a, b):
     return np.array_equal(a.count, b.count) and np.array_equal(a.fails, b.fails)
 
 
+class TestGroups:
+    """`_fit_trees` grows trees in groups of at most `forest._GROUP_CELLS`
+    cells; the trees do not depend on where the groups end."""
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    @given(grower_cases(), st.integers(1, 3))
+    def test_trees_equal_reference_in_any_grouping(self, case, size):
+        """Groups of 1-3 trees over 5 trees, so the last group is partial
+        when it holds more than one; then a grown-at-1 forest pruned at each
+        size equals the forest grown at that size."""
+        ds, hp, weights, seed = case
+        hp = replace(hp, n_trees=5)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(forest, "_GROUP_CELLS", size * ds.n * hp.mtry)
+            got = fit_forest(ds, hp, weights, seed).trees
+            full = fit_forest(ds, replace(hp, min_node_size=1), weights, seed).trees
+        want = ref_forest(ds, hp, weights, seed)
+        assert all(trees_equal(a, b) for a, b in zip(got, want))
+        pruned = [prune(t, hp.min_node_size) for t in full]
+        assert all(trees_equal(a, b) and counts_equal(a, b) for a, b in zip(got, pruned))
+
+    def test_rules_weightings_and_sizes_on_counts(self, monkeypatch):
+        """Every (rule, weighting, min_node_size 1 or 5) on click counts, 7
+        trees in groups of 3: the last group holds one tree."""
+        ds = make_blobs(n=200, p=8, seed=45, separation=0.7)
+        ds = LabeledDataset.from_arrays(np.rint(np.abs(ds.features) * 4.0), ds.labels)
+        for rule in (GINI, EXTRATREES):
+            for weights in (ClassWeights.unit(), cost_weights(ds)):
+                for s in (1, 5):
+                    hp = Hyperparams(3, rule, s, n_trees=7)
+                    monkeypatch.setattr(forest, "_GROUP_CELLS", 3 * ds.n * hp.mtry)
+                    got = fit_forest(ds, hp, weights, seed=12).trees
+                    monkeypatch.undo()
+                    assert all(trees_equal(a, b) and counts_equal(a, b) for a, b in
+                               zip(got, fit_forest(ds, hp, weights, seed=12).trees)), (rule, s)
+                    assert all(trees_equal(a, b) for a, b in
+                               zip(got, ref_forest(ds, hp, weights, seed=12))), (rule, s)
+
+
+class TestKeyedStream:
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(st.integers(0, 2 ** 64 - 1), st.integers(0, 2 ** 64 - 1), st.integers(0, 9),
+           st.integers(0, 9))
+    def test_reused_stream_draws_as_a_fresh_one(self, key, before, n_doubles, n_halves):
+        """Draws at a key do not depend on what the stream drew before,
+        buffered 32-bit halves included."""
+        fresh = KeyedStream().at(key).random(12)
+        reused = KeyedStream()
+        rng = reused.at(before)
+        rng.random(n_doubles)
+        rng.integers(0, 1 << 32, size=n_halves, dtype=np.uint32)
+        assert reused.at(key).random(12).tolist() == fresh.tolist()
+
+
 class TestPrune:
     """A forest grown at min_node_size s is the s = 1 forest pruned at s."""
 
@@ -350,7 +405,8 @@ class TestLeftSums:
     @given(st.integers(1, 300), st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
     def test_row_order_in_any_layout(self, m, k, seed):
         """The weighted extratrees sums equal a row-order loop, also for one
-        column and for a Fortran-ordered node matrix."""
+        column, for a Fortran-ordered node matrix, and for the node as one
+        zero-padded block among others."""
         rng = np.random.default_rng(seed)
         w = rng.gamma(1.0, size=m) * 10.0 ** rng.integers(-3, 4, size=m)
         wy = w * (rng.random(m) < 0.4)
@@ -365,6 +421,18 @@ class TestLeftSums:
         for layout in (np.ascontiguousarray(V), np.asfortranarray(V)):
             wl, fl = _left_sums(w, wy, layout <= thr)
             assert wl.tolist() == want[0].tolist() and fl.tolist() == want[1].tolist()
+        # block 1 of 3, padded with zero weights to 2m rows; its neighbours
+        # hold other values, which must not leak into its sums
+        pad = np.zeros(m)
+        w3 = np.column_stack([np.concatenate([w[::-1], w]), np.concatenate([w, pad]),
+                              np.concatenate([w, w])])
+        wy3 = np.column_stack([np.concatenate([wy[::-1], wy]), np.concatenate([wy, pad]),
+                               np.concatenate([wy, wy])])
+        left = np.concatenate([V <= thr, rng.random((m, k)) < 0.5])
+        left3 = np.stack([~left, left, left], axis=1)
+        wl3, fl3 = _left_sums(w3, wy3, left3)
+        assert wl3.shape == fl3.shape == (3, k)
+        assert wl3[1].tolist() == want[0].tolist() and fl3[1].tolist() == want[1].tolist()
 
 
 class TestFit:
@@ -449,8 +517,10 @@ class TestFit:
         rng = np.random.default_rng(9)
         X = rng.integers(0, 5, size=(40, 2)).astype(float)
         y01 = (rng.random(40) < 0.5).astype(np.float64)
-        tree = _grow_tree(X, y01, None, Hyperparams(2, "gini", 1, n_trees=1), rng)
+        (tree,), _ = _fit_trees(X, y01, Hyperparams(2, "gini", 1, n_trees=1), 9, None, False,
+                                None, False)
         midpoints = {(a + b) / 2 for a in range(5) for b in range(5)} | {float(v) for v in range(5)}
+        assert (tree.feature >= 0).any()
         for i in range(tree.feature.size):
             if tree.feature[i] >= 0:
                 assert float(tree.threshold[i]) in midpoints
@@ -459,9 +529,10 @@ class TestFit:
         rng = np.random.default_rng(10)
         X = rng.normal(size=(60, 3))
         y01 = (rng.random(60) < 0.4).astype(np.float64)
-        tree = _grow_tree(X, y01, None, Hyperparams(3, "extratrees", 1, n_trees=1), rng)
-        # walk the tree, tracking the rows that reach each node
-        stack = [(0, np.arange(60))]
+        (tree,), inbag = _fit_trees(X, y01, Hyperparams(3, "extratrees", 1, n_trees=1), 10, None,
+                                    False, None, True)
+        # walk the tree, tracking the bootstrap rows that reach each node
+        stack = [(0, np.repeat(np.arange(60), inbag[0]))]
         checked = 0
         while stack:
             node, idx = stack.pop()
