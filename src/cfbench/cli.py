@@ -20,6 +20,7 @@ import argparse
 import configparser
 import logging
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -61,10 +62,21 @@ def _load_config(args) -> bench.ExperimentConfig:
     return config
 
 
+@contextmanager
+def _data_errors(command: str):
+    """A context in which a missing or malformed input file ends ``command``
+    with a message instead of a traceback."""
+    try:
+        yield
+    except (FileNotFoundError, ValueError) as exc:
+        raise SystemExit(f"{command}: {exc}") from exc
+
+
 def cmd_ingest(args) -> int:
     presentations = [p.strip() for p in args.presentations.split(",") if p.strip()]
-    data = ingest_oulad(args.raw_dir, args.course, presentations)
-    data.save_csv(args.out)
+    with _data_errors("ingest"):
+        data = ingest_oulad(args.raw_dir, args.course, presentations)
+        data.save_csv(args.out)
     counts = data.class_counts()
     print(f"wrote {args.out}: {data.n} students, {data.p} weekly features")
     print(f"labels: {counts}; imbalance ratio {imbalance_ratio(data):.4f}")
@@ -74,7 +86,9 @@ def cmd_ingest(args) -> int:
 def cmd_train(args) -> int:
     config = _select(_load_config(args), args.cell, want_method=False)
     balancing, tuning = config.balancing[0], config.tuning[0]
-    _, _, entry = bench.Pipeline.open(config).block(balancing, tuning)
+    with _data_errors("train"):
+        pipe = bench.Pipeline.open(config)
+    _, _, entry = pipe.block(balancing, tuning)
     model_path, _ = bench.block_files(config.output_dir, balancing, tuning)
     hp, metrics = entry["hyperparams"], entry["metrics"]
     print(f"cell {balancing}:{tuning}")
@@ -88,7 +102,8 @@ def cmd_train(args) -> int:
 def cmd_explain(args) -> int:
     config = _load_config(args)
     cell = _select(config, args.cell, want_method=True).cells()[0]
-    pipe = bench.Pipeline.open(config)
+    with _data_errors("explain"):
+        pipe = bench.Pipeline.open(config)
     method_train, model, _ = pipe.block(cell.balancing, cell.tuning)
     split = pipe.split
     fail_rows = bench.fail_predicted_rows(model, split.test, config.max_explained_instances)
@@ -122,7 +137,10 @@ def cmd_run(args) -> int:
     config = _load_config(args)
     if args.cell is not None:
         config = _select(config, args.cell, want_method=True)
-    manifest = bench.run(config)
+    # the grid records its own block and cell failures, so what reaches here
+    # is the data that cannot be loaded or split, or a report input gone missing
+    with _data_errors("run"):
+        manifest = bench.run(config)
     # the manifest also holds the cells of earlier shards; report this invocation's
     own = [cell.key() for cell in config.cells()]
     failed = [k for k in own if manifest.cells[k].get("status") != "done"]
@@ -134,13 +152,11 @@ def cmd_run(args) -> int:
 
 
 def cmd_report(args) -> int:
-    try:
+    with _data_errors("report"):
         manifest = bench.RunManifest.load(Path(args.out) / bench.MANIFEST)
         cells = [Cell(b, t, m) for b in bench.BALANCING_ALL for t in bench.TUNING_ALL
                  for m in cfgen.METHODS if Cell(b, t, m).key() in manifest.cells]
         bench.report(args.out, manifest, cells)
-    except (FileNotFoundError, ValueError) as exc:
-        raise SystemExit(f"report: {exc}") from exc
     print(f"aggregated {len(cells)} cells in {args.out}")
     return 0
 

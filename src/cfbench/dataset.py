@@ -8,6 +8,12 @@ normalised by, are computed from the rows, so no stored range can disagree
 with them. `save_csv` writes the ids as an ``ID_COLUMN`` first column, and
 `load_csv` reads that column back whenever the header has it.
 
+Both bulk paths work on blocks, not rows: `ingest_oulad` parses the click log
+with one `np.loadtxt` call per block of whole lines and adds each block's
+clicks with one `np.bincount`, so its memory is bounded by one block; it
+checks every log row, whatever its course. `save_csv` converts and writes a
+batch of rows at a time.
+
 Datasets are immutable after construction and safe to share across threads;
 splitting and ingestion are pure given their seeds and inputs.
 """
@@ -15,6 +21,7 @@ splitting and ingestion are pure given their seeds and inputs.
 from __future__ import annotations
 
 import csv
+import io
 import logging
 import math
 from dataclasses import dataclass, field
@@ -43,6 +50,14 @@ FIRST_DAY = 7 * WEEK_NUMBERS.start
 LAST_DAY = 7 * (WEEK_NUMBERS.stop - 1) + 6
 
 OULAD_REQUIRED_FILES = ("studentInfo.csv", "studentVle.csv", "vle.csv")
+
+# Characters of studentVle.csv parsed per np.loadtxt call (bytes, for the
+# ASCII release). A block ends on a line boundary, so it may run past this by
+# part of one line; memory is bounded by one block, not by the log.
+_LOG_BLOCK = 1 << 16
+_LOG_FORMAT = dict(delimiter=",", comments=None, quotechar='"', ndmin=1)
+# Rows per csv writerows call of LabeledDataset.save_csv
+_SAVE_BATCH = 256
 
 _RESULT_TO_LABEL = {"Distinction": PASS, "Pass": PASS, "Fail": FAIL}
 _WITHDRAWN = "Withdrawn"
@@ -121,7 +136,11 @@ class LabeledDataset:
         )
 
     def save_csv(self, path) -> None:
-        """Write the dataset as CSV: optional id column, features, then the label."""
+        """Write the dataset as CSV: optional id column, features, then the label.
+
+        An integral value below 2**53 in magnitude is written without a
+        trailing ``.0``, so ingested click counts stay readable; any other
+        value is written as its float ``repr``."""
         path = Path(path)
         with path.open("w", newline="") as fh:
             writer = csv.writer(fh)
@@ -129,17 +148,16 @@ class LabeledDataset:
             if self.ids is not None:
                 header = [ID_COLUMN] + header
             writer.writerow(header)
-            for i in range(self.n):
-                row = [_num(v) for v in self.features[i]] + [str(self.labels[i])]
+            for start in range(0, self.n, _SAVE_BATCH):
+                batch = self.features[start:start + _SAVE_BATCH]
+                cells = batch.astype(object)  # Python floats, which csv writes as repr
+                integral = (batch == np.trunc(batch)) & (np.abs(batch) < 2**53)
+                cells[integral] = batch[integral].astype(np.int64)
+                rows = [row + [lab] for row, lab
+                        in zip(cells.tolist(), self.labels[start:start + _SAVE_BATCH].tolist())]
                 if self.ids is not None:
-                    row = [self.ids[i]] + row
-                writer.writerow(row)
-
-
-def _num(v: float) -> str:
-    # integral values print without a trailing .0 so ingested click counts stay readable
-    f = float(v)
-    return str(int(f)) if f.is_integer() and abs(f) < 2**53 else repr(f)
+                    rows = [[i] + row for i, row in zip(self.ids[start:start + _SAVE_BATCH], rows)]
+                writer.writerows(rows)
 
 
 @dataclass(frozen=True)
@@ -232,6 +250,10 @@ def ingest_oulad(raw_dir, course: str, presentations) -> LabeledDataset:
     students, and sums clicks per week. Week k covers days [7k, 7k+6]; clicks
     outside weeks -4..37 are discarded. Students with no logged activity get
     all-zero rows. Rows are ordered by (presentation, student id).
+
+    Every row of ``studentVle.csv``, whatever its course, must reach the
+    five columns read and hold integer ``date`` and ``sum_click`` cells; a
+    row that does not raises `ValueError` naming the file and line.
     """
     raw_dir = Path(raw_dir)
     missing = [f for f in OULAD_REQUIRED_FILES if not (raw_dir / f).exists()]
@@ -269,46 +291,115 @@ def ingest_oulad(raw_dir, course: str, presentations) -> LabeledDataset:
         enrolled, withdrawn, len(labels_by_key),
     )
 
-    n_weeks = len(WEEK_NUMBERS)
-    clicks: dict[tuple[str, str], np.ndarray] = {}
-    unmatched: set[tuple[str, str]] = set()
-    for rec in _read_oulad(
-        raw_dir / "studentVle.csv",
-        ("code_module", "code_presentation", "id_student", "date", "sum_click"),
-    ):
-        if rec["code_module"] != course or rec["code_presentation"] not in presentations:
-            continue
-        key = (rec["code_presentation"], rec["id_student"])
-        if key not in labels_by_key:
-            if key not in known_keys:
-                unmatched.add(key)
-            continue
-        day = int(rec["date"])
-        if day < FIRST_DAY or day > LAST_DAY:
-            continue
-        week_idx = day // 7 - WEEK_NUMBERS.start
-        row = clicks.get(key)
-        if row is None:
-            row = clicks[key] = np.zeros(n_weeks)
-        row[week_idx] += int(rec["sum_click"])
-
-    # interaction rows of students who never received a final result are dropped
-    if unmatched:
-        logger.info(
-            "ingest: dropped interactions of %d student(s) with no final result", len(unmatched)
-        )
-
     keys = sorted(labels_by_key, key=lambda k: (k[0], _id_sort_key(k[1])))
-    features = np.zeros((len(keys), n_weeks))
-    labels = []
-    ids = []
-    for i, key in enumerate(keys):
-        row = clicks.get(key)
-        if row is not None:
-            features[i] = row
-        labels.append(labels_by_key[key])
-        ids.append(f"{key[0]}_{key[1]}")
-    return LabeledDataset.from_arrays(features, labels, WEEK_COLUMNS, ids)
+    row_of = {key: i for i, key in enumerate(keys)}
+    clicks, orphans = _sum_log_clicks(raw_dir / "studentVle.csv", course, sorted(presentations),
+                                      row_of, known_keys)
+    # interaction rows of students who never received a final result are dropped
+    if orphans:
+        logger.info(
+            "ingest: dropped interactions of %d student(s) with no final result", orphans
+        )
+    return LabeledDataset.from_arrays(
+        clicks.reshape(len(keys), len(WEEK_NUMBERS)),
+        [labels_by_key[key] for key in keys],
+        WEEK_COLUMNS,
+        [f"{p}_{i}" for p, i in keys],
+    )
+
+
+def _sum_log_clicks(path: Path, course: str, presentations: list[str], row_of: dict,
+                    known: set) -> tuple[np.ndarray, int]:
+    """The flat (frame rows x weeks) click sums of the ``row_of`` keys in the
+    log at ``path``, and the number of (presentation, id) keys of ``course``
+    and ``presentations`` that have log rows but are not ``known`` enrollments.
+
+    The string columns are one character wider than the longest wanted value:
+    `np.loadtxt` truncates longer cells, and the extra character keeps them
+    from matching. Only an id that fills its column can be a truncated one;
+    such ids are read again whole, so that they count as distinct keys.
+    """
+    n_weeks = len(WEEK_NUMBERS)
+    sums = np.zeros(len(row_of) * n_weeks)
+    unmatched: set[tuple[str, str]] = set()
+    id_width = 1 + max(len(i) for _, i in known)
+    dtype = [("code_module", f"U{len(course) + 1}"),
+             ("code_presentation", f"U{1 + max(map(len, presentations))}"),
+             ("id_student", f"U{id_width}"), ("date", np.int64), ("sum_click", np.int64)]
+    for block, usecols, rows in _log_blocks(path, dtype):
+        in_course = rows["code_module"] == course
+        frame_row = np.full(len(rows), -1)
+        long_ids = False
+        for p in presentations:
+            mine = in_course & (rows["code_presentation"] == p)
+            if not mine.any():
+                continue
+            ids, inverse = np.unique(rows["id_student"][mine], return_inverse=True)
+            lut = np.array([row_of.get((p, i), -1) for i in ids.tolist()])
+            frame_row[mine] = lut[inverse]
+            for i in ids[lut < 0].tolist():
+                if len(i) == id_width:
+                    long_ids = True
+                elif (p, i) not in known:
+                    unmatched.add((p, i))
+        if long_ids:
+            truncated = (in_course & np.isin(rows["code_presentation"], presentations)
+                         & (np.char.str_len(rows["id_student"]) == id_width))
+            whole = np.loadtxt(io.StringIO(block), dtype=object, usecols=usecols[2], **_LOG_FORMAT)
+            unmatched.update(zip(rows["code_presentation"][truncated].tolist(),
+                                 whole[truncated].tolist()))
+        day = rows["date"]
+        take = (frame_row >= 0) & (day >= FIRST_DAY) & (day <= LAST_DAY)
+        flat = frame_row[take] * n_weeks + (day[take] // 7 - WEEK_NUMBERS.start)
+        block_sums = np.bincount(flat, weights=rows["sum_click"][take])
+        sums[:block_sums.size] += block_sums
+    return sums, len(unmatched)
+
+
+def _log_blocks(path: Path, dtype):
+    """Yield ``(text, usecols, rows)`` for each block of whole lines of the CSV
+    at ``path``: about `_LOG_BLOCK` characters of text, the header positions of
+    the ``dtype`` fields, and the block's rows parsed as ``dtype`` by one
+    `np.loadtxt` call. A row that does not parse raises `ValueError` naming
+    its line; blocks of blank lines are skipped."""
+    with path.open() as fh:
+        header = next(csv.reader([fh.readline()]), [])
+        pos = {name: i for i, name in enumerate(header)}
+        missing = [name for name, _ in dtype if name not in pos]
+        if missing:
+            raise ValueError(f"{path}: missing column(s): {', '.join(missing)}")
+        usecols = [pos[name] for name, _ in dtype]
+        line = 2
+        while block := fh.read(_LOG_BLOCK):
+            if not block.endswith("\n"):
+                block += fh.readline()
+            if block.strip("\n"):
+                try:
+                    rows = np.loadtxt(io.StringIO(block), dtype=dtype, usecols=usecols,
+                                      **_LOG_FORMAT)
+                except ValueError:
+                    raise _bad_log_line(path, block, line, header, dtype, usecols) from None
+                yield block, usecols, rows
+            line += block.count("\n")
+
+
+def _bad_log_line(path, block, first_line, header, dtype, usecols) -> ValueError:
+    """The error naming the first line of ``block`` that `np.loadtxt` rejects."""
+    for n, text in enumerate(block.split("\n"), start=first_line):
+        if not text:
+            continue
+        try:
+            np.loadtxt(io.StringIO(text), dtype=dtype, usecols=usecols, **_LOG_FORMAT)
+            continue
+        except ValueError:
+            pass
+        cells = next(csv.reader([text]))
+        if len(cells) < len(header):
+            return ValueError(f"{path}: line {n}: expected {len(header)} cells, got {len(cells)}")
+        numbers = " and ".join(f"{name} {cells[col]!r}" for (name, kind), col
+                               in zip(dtype, usecols) if kind is np.int64)
+        return ValueError(f"{path}: line {n}: {numbers} must be integers")
+    return ValueError(f"{path}: lines {first_line}-{n}: cannot parse the log rows")
 
 
 def _id_sort_key(raw: str):

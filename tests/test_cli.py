@@ -56,6 +56,45 @@ def test_ingest(tmp_path, capsys):
     assert ds.ids is not None
 
 
+def test_ingest_data_errors_exit_with_a_message(tmp_path):
+    """A missing raw directory and a malformed log row end ``ingest`` with a
+    message, not a traceback."""
+    out = tmp_path / "frame.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["ingest", "--raw-dir", str(tmp_path / "nope"), "--out", str(out)])
+    assert str(exc.value.code).startswith("ingest: ")
+    assert "missing raw file(s): studentInfo.csv" in str(exc.value.code)
+
+    raw = write_oulad_raw(tmp_path / "raw", n_students=30, seed=2)
+    log = raw / "studentVle.csv"
+    log.write_text(log.read_text() + "AAA,2013B,1\n")
+    n_lines = len(log.read_text().splitlines())
+    with pytest.raises(SystemExit) as exc:
+        main(["ingest", "--raw-dir", str(raw), "--out", str(out)])
+    assert str(exc.value.code) == f"ingest: {log}: line {n_lines}: expected 6 cells, got 3"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["run"], ["train", "--cell", "original:vanilla"],
+                                  ["explain", "--cell", "original:vanilla:whatif"]],
+                         ids=["run", "train", "explain"])
+@pytest.mark.parametrize("frame, message", [
+    (None, "no such file: "),
+    ("student_id,week_minus4\ns1,3\n", "missing column(s): week_minus3"),
+], ids=["missing-frame", "malformed-frame"])
+def test_data_errors_exit_with_a_message(tmp_path, config_file, argv, frame, message):
+    """A frame that cannot be loaded ends each grid command with a message."""
+    path = tmp_path / "bad_frame.csv"
+    if frame is not None:
+        path.write_text(frame)
+    text = config_file.read_text()
+    config_file.write_text(text.replace(text.split("frame_csv = ")[1].split("\n")[0], str(path)))
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--config", str(config_file), *argv[1:]])
+    assert str(exc.value.code).startswith(f"{argv[0]}: ")
+    assert message in str(exc.value.code) and str(path) in str(exc.value.code)
+
+
 def test_run_and_report(tmp_path, config_file, capsys):
     assert main(["run", "--config", str(config_file)]) == 0
     captured = capsys.readouterr()
