@@ -139,8 +139,12 @@ def objectives(x, cands: np.ndarray, model, train: LabeledDataset, ranges: Range
     fail probabilities it was computed from. Plausibility is the mean Gower
     distance to the ``PLAUSIBILITY_NEIGHBORS`` nearest training rows;
     ``columns``, when given, is ``GowerColumns.of(train.features)``, prepared
-    once by a caller that evaluates many candidate sets.
+    once by a caller that evaluates many candidate sets; columns of another
+    shape raise ValueError.
     """
+    if columns is not None and columns.shape != train.features.shape:
+        raise ValueError(f"columns have shape {columns.shape}, the training features "
+                         f"{train.features.shape}")
     pfail = model.predict_proba_batch(cands)
     o_v = np.maximum(0.0, pfail - 0.5)
     o_p = gower_many(cands, x, ranges)

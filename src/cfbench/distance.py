@@ -8,9 +8,12 @@ features contribute nothing to any distance. For Gower, values outside the
 table's range cap their per-feature term at 1, keeping the metric in [0, 1].
 
 Pairwise Gower distances to a fixed row set go through :class:`GowerColumns`,
-which codes each column by its distinct values: the click-count features
-repeat a few dozen values over thousands of rows, so `gower_cross` computes a
-per-feature term once per distinct value and gathers it by code.
+which codes each column by its distinct values and keeps each distinct row
+once: the click-count features repeat a few dozen values over thousands of
+rows, and an oversampled training split repeats whole rows. `gower_cross`
+computes one table of capped terms, every distinct value of every column
+against a block of rows, then sums each distinct row's terms tile by tile and
+copies the sums to every row that repeats it.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ import numpy as np
 GOWER = "gower"
 HEOM = "heom"
 METRICS = (GOWER, HEOM)
-_CROSS_BLOCK = 40_000  # gower_cross accumulator cells per block of rows
+_CROSS_BLOCK = 40_000  # gower_cross accumulator cells per tile of distinct rows
+_TABLE_CELLS = 1 << 18  # gower_cross term-table cells per block of rows
 
 
 @dataclass(frozen=True)
@@ -83,11 +87,20 @@ class GowerColumns:
 
     ``values[j]`` holds the sorted distinct values of column j and
     ``codes[j]`` each row's index into them, so ``values[j][codes[j]]`` is the
-    column. Build it once with `of` and reuse it across calls.
+    column. ``flat`` lays every column's values end to end, and ``column``
+    names the column of each. ``keys`` holds one (p,) column of indices into
+    ``flat`` per distinct row, in order of first occurrence, and ``inverse``
+    maps each row to its distinct row, so ``inverse[i] <= i``; it is None when
+    no row repeats, and then ``keys`` follows the rows. Build it once with
+    `of` and reuse it across calls.
     """
 
     values: tuple[np.ndarray, ...]
-    codes: np.ndarray  # (p, n) intp
+    codes: np.ndarray  # (p, n) small unsigned ints, a view of row-major codes
+    flat: np.ndarray  # (D,) every column's distinct values, column by column
+    column: np.ndarray  # (D,) intp
+    keys: np.ndarray  # (p, m) intp, m distinct rows
+    inverse: np.ndarray | None  # (n,) intp
 
     @classmethod
     def of(cls, rows) -> "GowerColumns":
@@ -100,20 +113,44 @@ class GowerColumns:
         ordered = np.take_along_axis(rows.T, at, axis=1)
         starts = np.ones((p, n), dtype=bool)
         starts[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
-        values = []
-        for v, new in zip(ordered, starts):
-            v = v[new]
-            v.setflags(write=False)
-            values.append(v)
+        flat = ordered[starts]
         del ordered
-        at += np.arange(p)[:, None] * n  # flat positions in codes
+        flat.setflags(write=False)
+        sizes = starts.sum(axis=1)
+        widest = int(sizes.max(initial=0))
+        offsets = np.zeros(p, dtype=np.intp)
+        np.cumsum(sizes[:-1], out=offsets[1:])
         ranks = starts.cumsum(axis=1, dtype=np.int32)
         ranks -= 1
-        codes = np.empty(p * n, dtype=np.intp)
-        codes[at] = ranks
-        codes = codes.reshape(p, n)
-        codes.setflags(write=False)
-        return cls(tuple(values), codes)
+        del starts
+        # row-major and as narrow as the codes allow, so that each row's codes
+        # are one short byte string
+        coded = np.empty((n, p), dtype=np.min_scalar_type(max(widest - 1, 0)))
+        at *= p
+        at += np.arange(p)[:, None]  # flat positions in coded
+        coded.ravel()[at] = ranks
+        del at, ranks
+        coded.setflags(write=False)
+        distinct, inverse = coded, None
+        if 0 < widest < n:  # else one column alone tells every row apart
+            as_bytes = coded.view(np.dtype((np.void, coded.itemsize * p))).ravel()
+            _, first, found = np.unique(as_bytes, return_index=True, return_inverse=True)
+            if first.size < n:
+                # number the distinct rows by first occurrence: inverse[i] <= i
+                order = first.argsort()
+                rank = np.empty_like(order)
+                rank[order] = np.arange(order.size)
+                distinct = coded[first[order]]
+                inverse = rank[found]
+                inverse.setflags(write=False)
+        keys = np.ascontiguousarray(distinct.T, dtype=np.intp)
+        keys += offsets[:, None]
+        keys.setflags(write=False)
+        column = np.repeat(np.arange(p), sizes)
+        column.setflags(write=False)
+        bounds = [*offsets.tolist(), flat.size]
+        values = tuple(flat[lo:hi] for lo, hi in zip(bounds, bounds[1:]))
+        return cls(values, coded.T, flat, column, keys, inverse)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -124,32 +161,57 @@ def gower_cross(rows, others, ranges: RangeTable) -> np.ndarray:
     """Pairwise Gower distances, shape (len(rows), len(others)).
 
     ``others`` is an array or a prepared `GowerColumns`. ``rows`` is walked in
-    blocks sized so one (len(others), block) accumulator stays small. Per
-    active feature, in ascending order, the capped terms between the block and
-    that column's distinct values are computed once and gathered to every
-    other row by code, so each distance sums the same terms in the same order
-    as a plain per-pair loop.
+    blocks sized so that the block's term table stays within
+    ``_TABLE_CELLS``: the capped term of every distinct value of every column
+    against every row of the block, computed once. The distinct rows of
+    ``others`` are then walked in tiles whose (tile, block) sums stay within
+    ``_CROSS_BLOCK`` cells. Each tile gathers the active features' terms by
+    key and adds them in ascending feature order, so each distance sums the
+    same terms in the same order as a plain per-pair loop (the first term is
+    copied, which equals 0.0 plus it). The sums fill the first columns of the
+    result, one per distinct row, and are then copied out to every row.
     """
     rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
     if not isinstance(others, GowerColumns):
         others = GowerColumns.of(others)
     _check(ranges, rows, others)
     active = np.flatnonzero(ranges.active)
+    first, *rest = active.tolist()
+    keys, inverse = others.keys, others.inverse
+    m = keys.shape[1]
     n = others.shape[0]
-    step = max(1, _CROSS_BLOCK // max(n, 1))
+    # a zero-width column's terms are never gathered; 1.0 keeps them finite
+    widths = np.where(ranges.active, ranges.widths, 1.0)[others.column, None]
+    step = max(1, _TABLE_CELLS // max(others.flat.size, 1))
     out = np.empty((rows.shape[0], n))
     for start in range(0, rows.shape[0], step):
         block = rows[start:start + step]
-        acc = np.zeros((n, block.shape[0]))
-        buf = np.empty_like(acc)
-        for j in active:
-            terms = np.abs(others.values[j][:, None] - block[None, :, j])
-            terms /= ranges.widths[j]
-            np.minimum(terms, 1.0, out=terms)
-            # codes are always in range; the default "raise" mode would buffer out
-            np.take(terms, others.codes[j], axis=0, out=buf, mode="clip")
-            acc += buf
-        out[start:start + step] = acc.T
+        b = block.shape[0]
+        table = block.T.take(others.column, axis=0)
+        np.subtract(others.flat[:, None], table, out=table)
+        np.abs(table, out=table)
+        table /= widths
+        np.minimum(table, 1.0, out=table)
+        tile = max(1, _CROSS_BLOCK // b)
+        buf = np.empty((2, min(tile, m), b))
+        for lo in range(0, m, tile):
+            tile_keys = keys[:, lo:lo + tile]
+            width = tile_keys.shape[1]
+            acc, part = buf[:, :width]
+            # keys are always in range; the default "raise" mode would buffer out
+            table.take(tile_keys[first], axis=0, out=acc, mode="clip")
+            for j in rest:
+                table.take(tile_keys[j], axis=0, out=part, mode="clip")
+                acc += part
+            out[start:start + b, lo:lo + width] = acc.T
+        del table  # before the next block's table
+    if inverse is not None:
+        # from the last row down, so that no column is overwritten before
+        # the rows at or after it have read it (inverse[i] <= i)
+        span = max(1, _CROSS_BLOCK // max(rows.shape[0], 1))
+        for hi in range(n, 0, -span):
+            lo = max(0, hi - span)
+            out[:, lo:hi] = out[:, inverse[lo:hi]]
     out /= active.size
     return out
 

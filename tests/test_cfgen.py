@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cfbench import cfgen
-from cfbench.balance import ClassWeights
+from cfbench.balance import ClassWeights, random_oversample
 from cfbench.cfgen import (
     NICE_PR,
     NICE_SP,
@@ -25,7 +25,8 @@ from cfbench.distance import GowerColumns, RangeTable, gower
 from cfbench.forest import Hyperparams, fit_forest
 
 from conftest import StubModel
-from synth import make_blobs
+from synth import make_blobs, make_week_frame
+from test_distance import loop_gower_cross
 
 
 def dataset(rows, labels):
@@ -86,6 +87,32 @@ class TestObjectives:
         model = StubModel(lambda r: 0.0, p=2)
         with pytest.raises(ValueError, match="dimension"):
             objectives_of(np.zeros(3), np.zeros(2), model, train)
+
+    def test_plausibility_counts_each_copy_of_a_row(self):
+        """A training row present 3 times fills 3 of the 5 nearest places."""
+        near, others = [1.0, 1.0], [[3.0, 1.0], [1.0, 4.0], [6.0, 6.0], [9.0, 0.0]]
+        rows = np.array([near, others[0], near, others[1], near, others[2], others[3]])
+        train = dataset(rows, [FAIL, PASS] * 3 + [PASS])
+        model = StubModel(lambda r: 0.0, p=2)
+        x, cand = np.zeros(2), np.array([1.0, 2.0])
+        ranges = request_for(x, train).ranges()
+        dists = sorted(brute_gower(cand, row, ranges.widths) for row in rows)
+        assert dists[:3] == [brute_gower(cand, near, ranges.widths)] * 3
+        expected = sum(dists[:5]) / 5
+        columns = GowerColumns.of(train.features)
+        assert columns.keys.shape[1] == 5
+        for cols in (None, columns):
+            obj, _ = objectives(x, cand[None, :], model, train, ranges, cols)
+            assert MocObjectives(*obj[0]).o_pl == pytest.approx(expected)
+
+    def test_columns_of_other_rows_rejected(self):
+        train = dataset([[0, 0], [1, 1], [2, 3]], [FAIL, PASS, PASS])
+        model = StubModel(lambda r: 0.0, p=2)
+        x = np.zeros(2)
+        ranges = request_for(x, train).ranges()
+        for rows in (train.features[:2], train.features[:, :1]):
+            with pytest.raises(ValueError, match="shape"):
+                objectives(x, x[None, :], model, train, ranges, GowerColumns.of(rows))
 
 
 def whatif_oracle(req, model, pool, k, widths):
@@ -370,6 +397,34 @@ class TestMoc:
         assert calls == [30] * 13
         assert prepared and len(prepared) == len(raw)
         for a, b in zip(prepared, raw):
+            assert np.array_equal(a.values, b.values)
+            assert a.generation_meta == b.generation_meta
+
+    def test_oversampled_training_matches_loop_kernel(self, monkeypatch):
+        """On a training split with duplicated rows, MOC gives the same front
+        through the prepared columns as through the per-pair reference loop."""
+        base = make_week_frame(n=60, seed=3)
+        train = random_oversample(base, seed=4)
+        columns = GowerColumns.of(train.features)
+        assert columns.inverse is not None and columns.keys.shape[1] < train.n
+        early = train.features[:, 4:14].sum(axis=1)
+        cut = float(np.median(early))
+        model = StubModel(lambda r: 1.0 if r[4:14].sum() < cut else 0.0, p=train.p)
+        x = base.features[int(np.argmin(base.features[:, 4:14].sum(axis=1)))]
+        req = CfRequest.for_instance(x, train)
+        cfg = MocConfig(population=30, generations=8, seed=11)
+        prepared = moc(req, model, train, cfg)
+
+        def loop_cross(rows, others, ranges):
+            if isinstance(others, GowerColumns):
+                assert others.shape == train.features.shape
+                others = train.features
+            return loop_gower_cross(rows, others, ranges)
+
+        monkeypatch.setattr(cfgen, "gower_cross", loop_cross)
+        looped = moc(req, model, train, cfg)
+        assert prepared and len(prepared) == len(looped)
+        for a, b in zip(prepared, looped):
             assert np.array_equal(a.values, b.values)
             assert a.generation_meta == b.generation_meta
 

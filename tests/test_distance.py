@@ -272,6 +272,64 @@ class TestGowerCross:
         rows = np.vstack([others[:3], rng.uniform(-3.0, 3.0, size=(4, 5)), [[0.0] * 5]])
         assert np.array_equal(gower_cross(rows, cols, table), loop_gower_cross(rows, others, table))
 
+    def test_tile_boundary_distinct_rows(self):
+        """Distinct rows of others one short of, at and one past a tile."""
+        rng = np.random.default_rng(59)
+        table = self.table(rng, 4)
+        rows = rng.uniform(-2.0, 14.0, size=(10, 4))
+        tile = distance._CROSS_BLOCK // rows.shape[0]
+        for m in (tile - 1, tile, tile + 1):
+            others = rng.uniform(0.0, 12.0, size=(m, 4))
+            cols = GowerColumns.of(others)
+            assert cols.inverse is None and cols.keys.shape == (4, m)
+            got = gower_cross(rows, cols, table)
+            assert np.array_equal(got, loop_gower_cross(rows, others, table)), m
+            # the same distinct rows, each repeated, so the copies cross tiles too
+            doubled = others[rng.permutation(np.repeat(np.arange(m), 2))]
+            got = gower_cross(rows, doubled, table)
+            assert np.array_equal(got, loop_gower_cross(rows, doubled, table)), m
+
+    def test_term_table_in_several_blocks(self, monkeypatch):
+        rng = np.random.default_rng(61)
+        table = self.table(rng, 5)
+        others = count_rows(rng, 150, 5)
+        cols = GowerColumns.of(others)
+        monkeypatch.setattr(distance, "_TABLE_CELLS", 3 * cols.flat.size)
+        for m in (1, 2, 3, 4, 9):  # blocks of 3 rows: one short, at, past, several
+            rows = rng.uniform(-2.0, 14.0, size=(m, 5)).round(1)
+            got = gower_cross(rows, cols, table)
+            assert np.array_equal(got, loop_gower_cross(rows, others, table)), m
+        monkeypatch.setattr(distance, "_TABLE_CELLS", 1)  # one row per block
+        rows = count_rows(rng, 7, 5)
+        assert np.array_equal(gower_cross(rows, cols, table), loop_gower_cross(rows, others, table))
+
+    @pytest.mark.parametrize("values", [12, 1000])
+    def test_duplicate_rows_coded_once(self, values):
+        """A duplicate-heavy row set: each distinct row is summed once, its
+        copies get its distances, and the shape keeps every row. A column of
+        more than 256 distinct values needs two-byte codes."""
+        rng = np.random.default_rng(values)
+        table = self.table(rng, 6)
+        others = count_rows(rng, 400, 6)
+        others[:, 4] = rng.integers(0, values, size=400)
+        others = others[rng.permutation(np.r_[np.arange(400), rng.integers(0, 400, size=100)])]
+        cols = GowerColumns.of(others)
+        distinct = np.unique(others, axis=0)
+        assert cols.codes.itemsize == (1 if values < 256 else 2)
+        assert cols.shape == others.shape == (500, 6)
+        assert cols.keys.shape == (6, len(distinct)) and cols.inverse.shape == (500,)
+        first = np.unique(cols.inverse, return_index=True)[1]  # one row per distinct row
+        assert (np.diff(first) > 0).all() and (cols.inverse <= np.arange(500)).all()
+        for j in range(6):
+            assert np.array_equal(cols.values[j][cols.codes[j]], others[:, j])
+            assert np.array_equal(cols.flat[cols.keys[j]], others[first, j])
+        rows = np.vstack([others[:4], rng.uniform(-3.0, 14.0, size=(30, 6))])
+        got = gower_cross(rows, cols, table)
+        assert np.array_equal(got, loop_gower_cross(rows, others, table))
+        for i in range(500):
+            copies = np.flatnonzero((others == others[i]).all(axis=1))
+            assert (got[:, copies] == got[:, [i]]).all()
+
     def test_errors(self):
         with pytest.raises(ValueError, match="dimension"):
             gower_cross(np.zeros((2, 3)), np.zeros((4, 2)), rt(1, 1))
