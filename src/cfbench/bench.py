@@ -41,9 +41,8 @@ import numpy as np
 
 from . import balance, cfgen, cfeval, forest
 from .cfeval import Cell
-from .dataset import (FRAME_COLUMNS, LabeledDataset, SplitResult, ingest_oulad, load_csv,
-                      stratified_split)
-from .distance import RangeTable
+from .dataset import (FAIL_CUT, FRAME_COLUMNS, LabeledDataset, SplitResult, ingest_oulad,
+                      load_csv, stratified_split)
 from .rng import seed_for
 
 logger = logging.getLogger(__name__)
@@ -308,9 +307,8 @@ def generate_for_cell(config: ExperimentConfig, cell: Cell, model, method_train:
     cell so that distances stay comparable across balancing strategies.
     The pool predictions that whatif and nice filter by are the same for every
     request, so they are made once here.
-    Returns (quality records, (request_id, counterfactual, valid) triples).
+    Returns (quality records, (counterfactual, valid) pairs).
     """
-    ranges = RangeTable.from_bounds(bounds)
     mask = np.ones(test.p, dtype=bool)
     pool_scores = None
     if cell.method in (cfgen.WHATIF, cfgen.NICE_SP, cfgen.NICE_PR):
@@ -318,8 +316,8 @@ def generate_for_cell(config: ExperimentConfig, cell: Cell, model, method_train:
     records = []
     items = []
     for row in fail_rows:
-        x = test.features[row]
-        req = cfgen.CfRequest(x=x, mutable_mask=mask, bounds=bounds, request_id=int(row))
+        req = cfgen.CfRequest(x=test.features[row], mutable_mask=mask, bounds=bounds,
+                              request_id=int(row))
         if cell.method == cfgen.WHATIF:
             cfs = cfgen.whatif(req, model, method_train, k=config.whatif_k, scores=pool_scores)
         elif cell.method == cfgen.NICE_SP:
@@ -332,16 +330,16 @@ def generate_for_cell(config: ExperimentConfig, cell: Cell, model, method_train:
         else:
             raise ValueError(f"unknown method {cell.method!r}")
         for cf in cfs:
-            record = cfeval.score(x, cf, model, method_train, ranges, cell)
+            record = cfeval.score(cf, model, method_train, cell)
             records.append(record)
-            items.append((int(row), cf, record.validity == 1))
+            items.append((cf, record.validity == 1))
     return records, items
 
 
 def fail_predicted_rows(model, test: LabeledDataset, cap: int | None) -> list[int]:
     """Test rows the model predicts as failing, in row order, capped for desk scale."""
     scores = model.predict_proba_batch(test.features)
-    rows = np.flatnonzero(scores >= 0.5).tolist()
+    rows = np.flatnonzero(scores >= FAIL_CUT).tolist()
     return rows if cap is None else rows[:cap]
 
 
@@ -370,16 +368,15 @@ class Pipeline:
     ``manifest`` is the directory's one manifest: the one an earlier
     invocation left in ``out``, else a new one. Each step records and saves
     its own entry, done or failed, and resumes a block or cell from its files
-    when its entry is done under the step's reuse key. ``bounds`` are the
-    original training-split feature ranges, shared by every cell so that
-    distances stay comparable across balancing strategies.
+    when its entry is done under the step's reuse key. Every cell's requests
+    take their bounds from ``split.train``, the original training split, so
+    that distances stay comparable across balancing strategies.
     """
 
     config: ExperimentConfig
     out: Path
     manifest: RunManifest
     split: SplitResult
-    bounds: np.ndarray
 
     @classmethod
     def open(cls, config: ExperimentConfig) -> "Pipeline":
@@ -395,7 +392,7 @@ class Pipeline:
         data = load_data(config)
         split = stratified_split(data, config.test_fraction,
                                  seed_for(config.master_seed, GLOBAL_CELL, "split"))
-        return cls(config, out, manifest, split, split.train.bounds)
+        return cls(config, out, manifest, split)
 
     def save_manifest(self) -> None:
         _atomic_write(self.out / MANIFEST, lambda p: _write_json(p, vars(self.manifest)))
@@ -473,7 +470,8 @@ class Pipeline:
         t0 = time.perf_counter()
         try:
             records, items = generate_for_cell(self.config, cell, model, method_train,
-                                               self.split.test, self.bounds, fail_rows)
+                                               self.split.test, self.split.train.bounds,
+                                               fail_rows)
         except Exception as exc:  # noqa: BLE001 - a failing cell must not kill the run
             logger.exception("cell %s failed", name)
             self._record(self.manifest.cells, name, {"status": "failed", "error": str(exc)},

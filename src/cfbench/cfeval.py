@@ -27,7 +27,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .cfgen import Counterfactual
-from .distance import RangeTable, gower, gower_many
+from .dataset import FAIL_CUT
+from .distance import gower, gower_many
 
 METRIC_NAMES = ("validity", "proximity", "sparsity", "minimality", "plausibility")
 
@@ -72,22 +73,21 @@ class CellSummary:
     stats: dict[str, MetricStats]
 
 
-def score(x, cf: Counterfactual, model, train, ranges: RangeTable, cell: Cell) -> QualityRecord:
-    """Score one counterfactual of ``cell`` against its source instance; the
-    record takes the request id of the counterfactual's request."""
-    x = np.asarray(x, dtype=np.float64)
-    values = cf.values
-    if x.shape != values.shape:
-        raise ValueError("dimension mismatch between instance and counterfactual")
+def score(cf: Counterfactual, model, train, cell: Cell) -> QualityRecord:
+    """Score one counterfactual of ``cell`` against the instance of its
+    request. Proximity and plausibility are normalised by the request's
+    bounds, and the record takes the request's id."""
+    req = cf.source_request
+    x, values, ranges = req.x, cf.values, req.ranges()
     changed = np.flatnonzero(values != x)
     # one model call: row 0 is the counterfactual, row 1 + i reverts changed[i]
     rows = np.repeat(values[None, :], 1 + changed.size, axis=0)
     rows[1 + np.arange(changed.size), changed] = x[changed]
-    passes = model.predict_proba_batch(rows) < 0.5
+    passes = model.predict_proba_batch(rows) < FAIL_CUT
     validity = int(passes[0])
     minimality = int(passes[1:].sum())
     return QualityRecord(
-        request_id=cf.source_request.request_id,
+        request_id=req.request_id,
         cell=cell,
         validity=validity,
         proximity=gower(x, values, ranges),

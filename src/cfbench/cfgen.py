@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import PASS, LabeledDataset
+from .dataset import FAIL_CUT, PASS, LabeledDataset
 from .distance import GowerColumns, RangeTable, gower_cross, gower_many, heom_many
 from .rng import spawn_rng
 
@@ -132,24 +132,24 @@ class MocConfig:
 
 
 def objectives(x, cands: np.ndarray, model, train: LabeledDataset, ranges: RangeTable,
-               columns: GowerColumns | None = None):
+               columns: GowerColumns):
     """MOC's four objectives for each row of ``cands`` against the instance ``x``.
 
     Returns the (rows, 4) matrix with columns in `MocObjectives` order and the
     fail probabilities it was computed from. Plausibility is the mean Gower
     distance to the ``PLAUSIBILITY_NEIGHBORS`` nearest training rows;
-    ``columns``, when given, is ``GowerColumns.of(train.features)``, prepared
-    once by a caller that evaluates many candidate sets; columns of another
-    shape raise ValueError.
+    ``columns`` is ``GowerColumns.of(train.features)``, prepared once by the
+    caller, which evaluates many candidate sets; columns of another shape
+    raise ValueError.
     """
-    if columns is not None and columns.shape != train.features.shape:
+    if columns.shape != train.features.shape:
         raise ValueError(f"columns have shape {columns.shape}, the training features "
                          f"{train.features.shape}")
     pfail = model.predict_proba_batch(cands)
-    o_v = np.maximum(0.0, pfail - 0.5)
+    o_v = np.maximum(0.0, pfail - FAIL_CUT)
     o_p = gower_many(cands, x, ranges)
     o_s = (cands != x).sum(axis=1).astype(np.float64)
-    d = gower_cross(cands, train.features if columns is None else columns, ranges)
+    d = gower_cross(cands, columns, ranges)
     k = min(PLAUSIBILITY_NEIGHBORS, train.n)
     o_pl = np.partition(d, k - 1, axis=1)[:, :k].mean(axis=1)
     return np.column_stack([o_v, o_p, o_s, o_pl]), pfail
@@ -170,7 +170,7 @@ def whatif(req: CfRequest, model, pool: LabeledDataset, k: int = DEFAULT_WHATIF_
     rt = req.ranges()
     if scores is None:
         scores = model.predict_proba_batch(pool.features)
-    valid = scores < 0.5
+    valid = scores < FAIL_CUT
     if not req.mutable_mask.all():
         frozen = ~req.mutable_mask
         valid &= (pool.features[:, frozen] == req.x[frozen]).all(axis=1)
@@ -210,7 +210,7 @@ def nice(req: CfRequest, model, train: LabeledDataset, reward: str,
     rt = req.ranges()
     if scores is None:
         scores = model.predict_proba_batch(train.features)
-    pool = np.flatnonzero((scores < 0.5) & (train.labels == PASS))
+    pool = np.flatnonzero((scores < FAIL_CUT) & (train.labels == PASS))
     if pool.size == 0:
         raise ValueError("no correctly predicted pass instance to anchor the search")
     d = heom_many(train.features[pool], req.x, rt)
@@ -242,7 +242,7 @@ def nice(req: CfRequest, model, train: LabeledDataset, reward: str,
         j = int(cand_feats[best])
         c[j] = z[j]
         copied.append(j)
-        if p_new[best] < 0.5:
+        if p_new[best] < FAIL_CUT:
             break
     return Counterfactual(
         values=c,
@@ -384,7 +384,7 @@ def moc(req: CfRequest, model, train: LabeledDataset, cfg: MocConfig) -> list[Co
 
     def evaluate(cands: np.ndarray, gen: int):
         obj, pfail = objectives(x, cands, model, train, rt, columns)
-        valid = pfail < 0.5
+        valid = pfail < FAIL_CUT
         if valid.any():
             archive_rows.append(cands[valid].copy())
             archive_obj.append(obj[valid])
@@ -455,15 +455,16 @@ def moc(req: CfRequest, model, train: LabeledDataset, cfg: MocConfig) -> list[Co
 def write_counterfactuals(csv_path, meta_path, feature_names, items) -> None:
     """Serialize generated counterfactuals.
 
-    ``items`` yields (request_id, Counterfactual, valid) triples. The CSV has
-    one row per counterfactual (request_id, method, feature values, valid);
+    ``items`` yields (Counterfactual, valid) pairs. The CSV has one row per
+    counterfactual (the id of its request, method, feature values, valid);
     generation metadata goes to a JSON-lines stream alongside.
     """
     csv_path, meta_path = Path(csv_path), Path(meta_path)
     with csv_path.open("w", newline="") as fh, meta_path.open("w") as mh:
         writer = csv.writer(fh)
         writer.writerow(["request_id", "method", *feature_names, "valid"])
-        for request_id, cf, valid in items:
+        for cf, valid in items:
+            request_id = cf.source_request.request_id
             writer.writerow([request_id, cf.method, *[repr(float(v)) for v in cf.values],
                              int(valid)])
             mh.write(json.dumps(

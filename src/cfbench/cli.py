@@ -114,12 +114,12 @@ def cmd_explain(args) -> int:
     if row not in fail_rows:
         raise SystemExit(f"test row {row} is not among the fail-predicted rows {fail_rows[:10]}...")
     records, items = bench.generate_for_cell(config, cell, model, method_train,
-                                             split.test, pipe.bounds, [row])
+                                             split.test, split.train.bounds, [row])
     if not items:
         print(f"request {row}: no valid counterfactual found")
         return 1
     x = split.test.features[row]
-    cf = items[0][1]  # most proximal counterfactual first
+    cf = items[0][0]  # most proximal counterfactual first
     names = split.test.feature_names
     print(f"cell {cell.key()}  test row {row}")
     print(f"p(fail): {model.predict_proba(x):.4f} -> {model.predict_proba(cf.values):.4f}")

@@ -24,7 +24,7 @@ import csv
 import io
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +36,8 @@ logger = logging.getLogger(__name__)
 FAIL = "fail"
 PASS = "pass"
 LABELS = (FAIL, PASS)
+# The pass/fail cut: a fail probability at or above it predicts fail
+FAIL_CUT = 0.5
 
 # Weekly click columns: four weeks before the course start through week 37.
 # Week k covers days [7k, 7k+6]; clicks outside [FIRST_DAY, LAST_DAY] are
@@ -166,8 +168,6 @@ class SplitResult:
 
     train: LabeledDataset
     test: LabeledDataset
-    train_indices: np.ndarray = field(repr=False, default=None)
-    test_indices: np.ndarray = field(repr=False, default=None)
 
 
 def load_csv(path, expected_columns) -> LabeledDataset:
@@ -429,14 +429,8 @@ def stratified_split(data: LabeledDataset, test_fraction: float, seed: int) -> S
         test_idx.extend(members[perm[:t]].tolist())
     test_mask = np.zeros(data.n, dtype=bool)
     test_mask[test_idx] = True
-    test_indices = np.flatnonzero(test_mask)
-    train_indices = np.flatnonzero(~test_mask)
-    return SplitResult(
-        train=data.subset(train_indices),
-        test=data.subset(test_indices),
-        train_indices=train_indices,
-        test_indices=test_indices,
-    )
+    return SplitResult(train=data.subset(np.flatnonzero(~test_mask)),
+                       test=data.subset(np.flatnonzero(test_mask)))
 
 
 def imbalance_ratio(data: LabeledDataset) -> float:

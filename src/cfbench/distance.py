@@ -85,18 +85,16 @@ def gower_many(pool, x, ranges: RangeTable) -> np.ndarray:
 class GowerColumns:
     """A fixed row set coded per feature for `gower_cross`.
 
-    ``values[j]`` holds the sorted distinct values of column j and
-    ``codes[j]`` each row's index into them, so ``values[j][codes[j]]`` is the
-    column. ``flat`` lays every column's values end to end, and ``column``
-    names the column of each. ``keys`` holds one (p,) column of indices into
-    ``flat`` per distinct row, in order of first occurrence, and ``inverse``
-    maps each row to its distinct row, so ``inverse[i] <= i``; it is None when
-    no row repeats, and then ``keys`` follows the rows. Build it once with
-    `of` and reuse it across calls.
+    ``flat`` lays every column's sorted distinct values end to end, and
+    ``column`` names the column of each. ``keys`` holds one (p,) column of
+    indices into ``flat`` per distinct row, in order of first occurrence, and
+    ``inverse`` maps each row to its distinct row, so ``inverse[i] <= i``; it
+    is None when no row repeats, and then ``keys`` follows the rows. So
+    ``flat[keys]``, expanded through ``inverse``, is the rows transposed.
+    ``shape`` is that of the rows, repeats included. Build it once with `of`
+    and reuse it across calls.
     """
 
-    values: tuple[np.ndarray, ...]
-    codes: np.ndarray  # (p, n) small unsigned ints, a view of row-major codes
     flat: np.ndarray  # (D,) every column's distinct values, column by column
     column: np.ndarray  # (D,) intp
     keys: np.ndarray  # (p, m) intp, m distinct rows
@@ -130,7 +128,6 @@ class GowerColumns:
         at += np.arange(p)[:, None]  # flat positions in coded
         coded.ravel()[at] = ranks
         del at, ranks
-        coded.setflags(write=False)
         distinct, inverse = coded, None
         if 0 < widest < n:  # else one column alone tells every row apart
             as_bytes = coded.view(np.dtype((np.void, coded.itemsize * p))).ravel()
@@ -148,13 +145,12 @@ class GowerColumns:
         keys.setflags(write=False)
         column = np.repeat(np.arange(p), sizes)
         column.setflags(write=False)
-        bounds = [*offsets.tolist(), flat.size]
-        values = tuple(flat[lo:hi] for lo, hi in zip(bounds, bounds[1:]))
-        return cls(values, coded.T, flat, column, keys, inverse)
+        return cls(flat, column, keys, inverse)
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.codes.shape[::-1]
+        p, m = self.keys.shape
+        return (m if self.inverse is None else self.inverse.size, p)
 
 
 def gower_cross(rows, others, ranges: RangeTable) -> np.ndarray:

@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from .balance import ClassWeights
-from .dataset import FAIL, LabeledDataset
+from .dataset import FAIL, FAIL_CUT, LabeledDataset
 from .rng import KeyedStream, derive_seed, path_key, spawn_rng, stream_rngs
 
 GINI = "gini"
@@ -169,9 +169,9 @@ class NodeTable:
 
 @dataclass(frozen=True)
 class RandomForestModel:
-    """A fitted forest. ``trees`` is the grower's per-tree output and what
-    `save_model` writes; prediction goes through ``table``, one `NodeTable`
-    of all trees, built here."""
+    """A fitted forest. ``trees`` is the grower's per-tree output, which
+    `tune` prunes; prediction and `save_model` go through ``table``, one
+    `NodeTable` of all trees, built here."""
 
     trees: tuple[Tree, ...]
     class_weights: ClassWeights
@@ -185,23 +185,19 @@ class RandomForestModel:
 
     @property
     def n_trees(self) -> int:
-        return len(self.trees)
+        return self.table.roots.size
 
     def predict_proba_batch(self, X) -> np.ndarray:
         """Probability of the fail class for each row: mean of per-tree leaf
         probabilities. A row's value does not depend on the other rows of ``X``."""
-        # cumsum adds the trees one after another, in tree order, for every row
-        return self.predict_proba_trees(X).cumsum(axis=0)[-1] / len(self.trees)
-
-    def predict_proba(self, x) -> float:
-        return float(self.predict_proba_batch(np.asarray(x)[None, :])[0])
-
-    def predict_proba_trees(self, X) -> np.ndarray:
-        """Per-tree fail probabilities, shape (n_trees, n_rows)."""
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         if X.shape[1] != self.p:
             raise ValueError(f"dimension mismatch: {X.shape[1]} features, model expects {self.p}")
-        return self.table.leaf_proba(X)
+        # cumsum adds the trees one after another, in tree order, for every row
+        return self.table.leaf_proba(X).cumsum(axis=0)[-1] / self.n_trees
+
+    def predict_proba(self, x) -> float:
+        return float(self.predict_proba_batch(np.asarray(x)[None, :])[0])
 
 
 def vanilla_hyperparams(p: int, n_trees: int = DEFAULT_N_TREES) -> Hyperparams:
@@ -510,14 +506,13 @@ def fit_forest(train: LabeledDataset, hp: Hyperparams, weights: ClassWeights,
 
 
 def _tied_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``x``, each tie group at the mean of its ranks."""
     order = np.argsort(x, kind="stable")
-    sx = x[order]
-    boundaries = np.flatnonzero(np.diff(sx) != 0) + 1
+    boundaries = np.flatnonzero(np.diff(x[order]) != 0) + 1
     starts = np.concatenate([[0], boundaries])
     ends = np.concatenate([boundaries, [x.size]])
     ranks = np.empty(x.size)
-    for s, e in zip(starts, ends):
-        ranks[order[s:e]] = 0.5 * (s + e - 1) + 1.0
+    ranks[order] = np.repeat(0.5 * (starts + ends - 1) + 1.0, ends - starts)
     return ranks
 
 
@@ -544,7 +539,7 @@ def evaluate(model: RandomForestModel, test: LabeledDataset) -> EvalMetrics:
     true_fail = test.labels == FAIL
     if not true_fail.any() or true_fail.all():
         raise ValueError("test set has a single class; AUC is undefined")
-    pred_fail = scores >= 0.5
+    pred_fail = scores >= FAIL_CUT
     accuracy = float(np.mean(pred_fail == true_fail))
     auc = rank_auc(scores, true_fail)
     tp = int((pred_fail & true_fail).sum())
@@ -617,10 +612,18 @@ def tune(train: LabeledDataset, grid, cv: CvSpec, weights: ClassWeights) -> Hype
 
 
 FOREST_FORMAT = "cfbench-forest 1"
+# Nodes per writelines call of save_model, whose Python lines take about
+# 200 bytes a node while they are written
+_SAVE_NODES = 1 << 8
 
 
 def save_model(model: RandomForestModel, path) -> None:
-    """Write the forest as flat text, one node per line."""
+    """Write the forest as flat text, one node per line, from its node table:
+    a node's index in its tree is its table index minus the tree's root, and
+    a leaf, whose children are itself, is written with -1 and empty split
+    fields."""
+    table = model.table
+    n = table.feature.size
     with Path(path).open("w") as fh:
         fh.write(FOREST_FORMAT + "\n")
         fh.write(f"p {model.p}\n")
@@ -629,16 +632,19 @@ def save_model(model: RandomForestModel, path) -> None:
         fh.write(f"weight_pass {model.class_weights.weight_pass!r}\n")
         fh.write(f"seed {model.training_seed}\n")
         fh.write("tree,node,feature,threshold,left,right,p_fail,p_pass\n")
-        for t, tree in enumerate(model.trees):
-            for i in range(tree.feature.size):
-                if tree.feature[i] < 0:
-                    pf = float(tree.p_fail[i])
-                    fh.write(f"{t},{i},-1,,-1,-1,{pf!r},{1.0 - pf!r}\n")
-                else:
-                    fh.write(
-                        f"{t},{i},{tree.feature[i]},{float(tree.threshold[i])!r},"
-                        f"{tree.left[i]},{tree.right[i]},,\n"
-                    )
+        for lo in range(0, n, _SAVE_NODES):
+            hi = min(lo + _SAVE_NODES, n)
+            index = np.arange(lo, hi)
+            tree = np.searchsorted(table.roots, index, side="right") - 1
+            root = table.roots[tree]
+            right, left = table.children[2 * lo:2 * hi].reshape(-1, 2).T
+            lines = zip(tree.tolist(), (index - root).tolist(), (right == index).tolist(),
+                        table.feature[lo:hi].tolist(), table.threshold[lo:hi].tolist(),
+                        (left - root).tolist(), (right - root).tolist(),
+                        table.p_fail[lo:hi].tolist())
+            fh.writelines(f"{t},{i},-1,,-1,-1,{pf!r},{1.0 - pf!r}\n" if leaf
+                          else f"{t},{i},{f},{thr!r},{lc},{rc},,\n"
+                          for t, i, leaf, f, thr, lc, rc, pf in lines)
 
 
 def load_model(path) -> RandomForestModel:

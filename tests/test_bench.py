@@ -494,13 +494,13 @@ class TestHoisting:
         fail_rows = fail_predicted_rows(model, pipe.split.test, 4)
         assert len(fail_rows) > 1 and train.n > 1 + train.p  # a score call is never pool-sized
         expected, values = one_at_a_time(config, cell, model, train, pipe.split.test,
-                                         pipe.bounds, fail_rows)
+                                         pipe.split.train.bounds, fail_rows)
 
         calls = count_predict_calls(monkeypatch)
         records, items = generate_for_cell(config, cell, model, train, pipe.split.test,
-                                           pipe.bounds, fail_rows)
+                                           pipe.split.train.bounds, fail_rows)
         assert calls.count(train.n) == 1
         assert records == expected
-        assert [cf.values.tolist() for _, cf, _ in items] == values
+        assert [cf.values.tolist() for cf, _ in items] == values
         if method == "whatif":  # the pool call, then one call per counterfactual
             assert calls == [train.n] + [1 + r.sparsity for r in records]

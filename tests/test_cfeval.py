@@ -44,24 +44,36 @@ class TestScore:
         self.train = dataset([[1, 1], [0, 0], [2, 5]], [PASS, FAIL, PASS])
         self.x = np.array([0.0, 0.0])
         self.req = CfRequest.for_instance(self.x, self.train)
-        self.ranges = self.req.ranges()
 
     def test_whatif_output_is_plausible_and_valid(self):
         cfs = whatif(self.req, self.model, self.train, k=1)
-        rec = score(self.x, cfs[0], self.model, self.train, self.ranges, CELL)
+        rec = score(cfs[0], self.model, self.train, CELL)
         assert rec.validity == 1
         assert rec.plausibility == 0.0
 
     def test_identity_counterfactual(self):
-        rec = score(self.x, make_cf([0, 0], self.req), self.model, self.train, self.ranges, CELL)
+        rec = score(make_cf([0, 0], self.req), self.model, self.train, CELL)
         assert (rec.validity, rec.proximity, rec.sparsity, rec.minimality) == (0, 0.0, 0, 0)
 
     def test_redundant_change_counted_by_reversion(self):
         """cf changes both features but only f1 was necessary: minimality 1."""
-        rec = score(self.x, make_cf([1, 5], self.req), self.model, self.train, self.ranges, CELL)
+        rec = score(make_cf([1, 5], self.req), self.model, self.train, CELL)
         assert rec.validity == 1
         assert rec.sparsity == 2
         assert rec.minimality == 1
+
+    def test_distances_use_the_request_bounds(self):
+        """A request whose bounds differ from the training split's ranges
+        (widths 2 and 5) gets its proximity and plausibility from its own
+        bounds (widths 4 and 10), and the record takes the request's id."""
+        req = CfRequest(x=self.x, mutable_mask=[True, True], bounds=[[0, 4], [0, 10]],
+                        request_id=7)
+        rec = score(make_cf([1, 5], req), self.model, self.train, CELL)
+        assert rec.request_id == 7
+        assert rec.proximity == (1 / 4 + 5 / 10) / 2
+        assert rec.plausibility == (1 / 4 + 0 / 10) / 2  # the training row [2, 5]
+        own = score(make_cf([1, 5], self.req), self.model, self.train, CELL)
+        assert (own.proximity, own.plausibility) == ((1 / 2 + 5 / 5) / 2, (1 / 2 + 0 / 5) / 2)
 
     def test_reversion_oracle_on_random_cases(self):
         """Minimality equals a brute-force one-at-a-time reversion count."""
@@ -70,12 +82,11 @@ class TestScore:
         train = dataset(rng.uniform(0, 5, size=(10, 3)), [PASS] * 5 + [FAIL] * 5)
         x = np.zeros(3)
         req = CfRequest.for_instance(x, train)
-        ranges = req.ranges()
         for _ in range(50):
             cand = np.where(rng.random(3) < 0.5, rng.uniform(0, 5, 3), x)
             if model.predict_proba(cand) >= 0.5:
                 continue
-            rec = score(x, make_cf(cand, req), model, train, ranges, CELL)
+            rec = score(make_cf(cand, req), model, train, CELL)
             expected = 0
             for j in range(3):
                 if cand[j] != x[j]:
@@ -88,13 +99,13 @@ class TestScore:
 
     def test_pure_function(self):
         cf = make_cf([1, 3], self.req)
-        a = score(self.x, cf, self.model, self.train, self.ranges, CELL)
-        b = score(self.x, cf, self.model, self.train, self.ranges, CELL)
+        a = score(cf, self.model, self.train, CELL)
+        b = score(cf, self.model, self.train, CELL)
         assert a == b
 
     def test_nice_always_valid(self):
         cf = nice(self.req, self.model, self.train, SPARSITY)
-        rec = score(self.x, cf, self.model, self.train, self.ranges, CELL)
+        rec = score(cf, self.model, self.train, CELL)
         assert rec.validity == 1
 
     def test_one_forest_call_per_counterfactual(self, monkeypatch):
@@ -104,7 +115,6 @@ class TestScore:
         rng = np.random.default_rng(5)
         x = train.features[0]
         req = CfRequest.for_instance(x, train)
-        ranges = req.ranges()
         cands = [x, *np.where(rng.random((30, 4)) < 0.5, rng.normal(size=(30, 4)), x)]
         single = []
         for cand in cands:
@@ -120,7 +130,7 @@ class TestScore:
 
         monkeypatch.setattr(RandomForestModel, "predict_proba_batch", counting)
         for cand, (validity, minimality) in zip(cands, single):
-            rec = score(x, make_cf(cand, req), model, train, ranges, CELL)
+            rec = score(make_cf(cand, req), model, train, CELL)
             assert (rec.validity, rec.minimality) == (validity, minimality)
         assert calls == [1 + int((cand != x).sum()) for cand in cands]
         assert {v for v, _ in single} == {0, 1}

@@ -49,7 +49,8 @@ def brute_gower(a, b, widths):
 def objectives_of(x, cand, model, train):
     """The merged MOC objective function on a one-row candidate block."""
     obj, _ = objectives(np.asarray(x, dtype=float), np.asarray(cand, dtype=float)[None, :],
-                        model, train, request_for(x, train).ranges())
+                        model, train, request_for(x, train).ranges(),
+                        GowerColumns.of(train.features))
     return MocObjectives(*obj[0])
 
 
@@ -101,9 +102,8 @@ class TestObjectives:
         expected = sum(dists[:5]) / 5
         columns = GowerColumns.of(train.features)
         assert columns.keys.shape[1] == 5
-        for cols in (None, columns):
-            obj, _ = objectives(x, cand[None, :], model, train, ranges, cols)
-            assert MocObjectives(*obj[0]).o_pl == pytest.approx(expected)
+        obj, _ = objectives(x, cand[None, :], model, train, ranges, columns)
+        assert MocObjectives(*obj[0]).o_pl == pytest.approx(expected)
 
     def test_columns_of_other_rows_rejected(self):
         train = dataset([[0, 0], [1, 1], [2, 3]], [FAIL, PASS, PASS])
@@ -385,14 +385,15 @@ class TestMoc:
         req = CfRequest.for_instance(np.array([2.0, 3.0, 7.0]), train)
         cfg = MocConfig(population=30, generations=12, seed=9)
         prepared = moc(req, model, train, cfg)
-        raw_objectives, calls = cfgen.objectives, []
+        prepared_cross, calls = cfgen.gower_cross, []
 
-        def without_columns(x, cands, model, train, ranges, columns):
-            assert isinstance(columns, GowerColumns)
-            calls.append(cands.shape[0])
-            return raw_objectives(x, cands, model, train, ranges)
+        def raw_cross(rows, others, ranges):
+            if isinstance(others, GowerColumns):  # plausibility, not front diversity
+                calls.append(rows.shape[0])
+                others = train.features
+            return prepared_cross(rows, others, ranges)
 
-        monkeypatch.setattr(cfgen, "objectives", without_columns)
+        monkeypatch.setattr(cfgen, "gower_cross", raw_cross)
         raw = moc(req, model, train, cfg)
         assert calls == [30] * 13
         assert prepared and len(prepared) == len(raw)
@@ -492,15 +493,17 @@ class TestRequest:
 
 class TestSerialization:
     def test_write_counterfactuals(self, tmp_path):
+        """Each row and meta line takes the id of its counterfactual's request."""
         train = dataset([[1, 1], [0, 0]], [PASS, FAIL])
         model = StubModel(lambda r: 0.0 if r[0] >= 1 else 1.0, p=2)
-        req = request_for([0, 0], train)
+        req = CfRequest.for_instance(np.zeros(2), train, request_id=3)
         cf = nice(req, model, train, SPARSITY)
         csv_path, meta_path = tmp_path / "cfs.csv", tmp_path / "cfs.jsonl"
-        write_counterfactuals(csv_path, meta_path, train.feature_names, [(0, cf, True)])
+        write_counterfactuals(csv_path, meta_path, train.feature_names, [(cf, True)])
         lines = csv_path.read_text().splitlines()
         assert lines[0] == "request_id,method,f1,f2,valid"
-        assert lines[1].startswith("0,nice_sp,1.0,0.0,1")
+        assert lines[1].startswith("3,nice_sp,1.0,0.0,1")
         meta = json.loads(meta_path.read_text().splitlines()[0])
+        assert meta["request_id"] == 3
         assert meta["method"] == NICE_SP
         assert meta["meta"]["copied_features"] == [0]

@@ -398,10 +398,11 @@ class TestSaveCsv:
 
 class TestSplit:
     def make(self, n_pass, n_fail, seed=0):
+        """Rows with ids "0", "1", ..., so that a split shows where its rows came from."""
         rng = np.random.default_rng(seed)
         X = rng.normal(size=(n_pass + n_fail, 2))
         y = [PASS] * n_pass + [FAIL] * n_fail
-        return LabeledDataset.from_arrays(X, y)
+        return LabeledDataset.from_arrays(X, y, ids=[str(i) for i in range(len(y))])
 
     def test_stratified_counts(self):
         ds = self.make(7, 3)
@@ -415,8 +416,7 @@ class TestSplit:
         ds = self.make(20, 10)
         a = stratified_split(ds, 0.3, seed=42)
         b = stratified_split(ds, 0.3, seed=42)
-        np.testing.assert_array_equal(a.test_indices, b.test_indices)
-        np.testing.assert_array_equal(a.train_indices, b.train_indices)
+        assert a.test.ids == b.test.ids and a.train.ids == b.train.ids
 
     def test_fraction_out_of_range(self):
         ds = self.make(5, 5)
@@ -433,9 +433,9 @@ class TestSplit:
         for seed in range(10):
             ds = self.make(17, 6, seed=seed)
             res = stratified_split(ds, 0.25, seed=seed)
-            merged = np.sort(np.concatenate([res.train_indices, res.test_indices]))
-            np.testing.assert_array_equal(merged, np.arange(ds.n))
-            assert np.intersect1d(res.train_indices, res.test_indices).size == 0
+            merged = sorted(res.train.ids + res.test.ids, key=int)
+            assert merged == list(ds.ids)
+            assert not set(res.train.ids) & set(res.test.ids)
 
     def test_proportions_within_one_instance(self):
         ds = self.make(50, 20)

@@ -8,6 +8,11 @@
 * One owner of the output directory's layout: its names (``models``,
   ``cells``, ``manifest.json`` and the four aggregate CSVs) are string
   constants only in ``bench.py``.
+* No stored value that only tests read: every dataclass field is read as an
+  attribute somewhere in the package. ``RandomForestModel.inbag`` is allowed,
+  since only the acceptance tests read it. The rule matches by attribute
+  name, so a field whose name some other object also has (a
+  ``GowerColumns.values`` beside ``Counterfactual.values``) passes unread.
 """
 
 import ast
@@ -65,6 +70,31 @@ def is_output_name(node) -> bool:
     return isinstance(node, ast.Constant) and node.value in OUTPUT_NAMES
 
 
+def package_nodes():
+    for path in sorted(PACKAGE.glob("*.py")):
+        yield from ast.walk(ast.parse(path.read_text(), filename=str(path)))
+
+
+def is_dataclass(node) -> bool:
+    if not isinstance(node, ast.ClassDef):
+        return False
+    for decorator in node.decorator_list:
+        name = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if isinstance(name, ast.Name) and name.id == "dataclass":
+            return True
+    return False
+
+
+def dataclass_fields() -> list[tuple[str, str]]:
+    """(class, field) of every field of a ``@dataclass`` class in the package."""
+    return [(node.name, stmt.target.id) for node in package_nodes() if is_dataclass(node)
+            for stmt in node.body
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+
+
+UNREAD_ALLOWED = {("RandomForestModel", "inbag")}
+
+
 def test_os_replace_only_in_the_atomic_writer():
     assert references(is_os_replace) == [("bench", "_atomic_write")]
 
@@ -83,3 +113,12 @@ def test_output_names_only_in_bench():
     found = references(is_output_name)
     assert found, "the rule matched nothing; the checker is broken"
     assert {module for module, _ in found} == {"bench"}, found
+
+
+def test_every_dataclass_field_is_read():
+    fields = dataclass_fields()
+    assert ("SplitResult", "train") in fields, "the rule matched nothing; the checker is broken"
+    read = {node.attr for node in package_nodes()
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = [f for f in fields if f[1] not in read and f not in UNREAD_ALLOWED]
+    assert not unread, unread

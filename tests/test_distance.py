@@ -197,6 +197,13 @@ def count_rows(rng, n, p):
     return rows[rng.integers(0, n, size=n)]
 
 
+def expanded(cols):
+    """The rows that ``cols`` codes, transposed: each distinct row's values
+    looked up by key, repeated through ``inverse`` when some row repeats."""
+    values = cols.flat[cols.keys]
+    return values if cols.inverse is None else values[:, cols.inverse]
+
+
 class TestGowerCross:
     def table(self, rng, p):
         widths = rng.uniform(2.0, 12.0, size=p)
@@ -245,15 +252,15 @@ class TestGowerCross:
         others = count_rows(rng, 120, 6)
         cols = GowerColumns.of(others)
         assert cols.shape == others.shape
-        for j in range(6):
-            assert np.array_equal(cols.values[j][cols.codes[j]], others[:, j])
+        assert np.array_equal(expanded(cols), others.T)
         rows = count_rows(rng, 40, 6)
         assert np.array_equal(gower_cross(rows, cols, table), gower_cross(rows, others, table))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_columns_match_per_column_unique(self, seed):
-        """Codes from one sort of all columns equal `np.unique` column by
-        column, on tie-heavy columns with -0.0 and 0.0 (one value)."""
+        """The distinct values from one sort of all columns equal `np.unique`
+        column by column, and the keys rebuild the rows, on tie-heavy columns
+        with -0.0 and 0.0 (one value)."""
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 60))
         others = np.column_stack([
@@ -265,9 +272,10 @@ class TestGowerCross:
         ])
         cols = GowerColumns.of(others)
         for j in range(others.shape[1]):
-            values, codes = np.unique(others[:, j], return_inverse=True)
-            assert np.array_equal(cols.values[j], values)  # -0.0 == 0.0
-            assert np.array_equal(cols.codes[j], codes)
+            # -0.0 == 0.0
+            assert np.array_equal(cols.flat[cols.column == j], np.unique(others[:, j]))
+        assert cols.shape == others.shape
+        assert np.array_equal(expanded(cols), others.T)
         table = self.table(rng, 5)
         rows = np.vstack([others[:3], rng.uniform(-3.0, 3.0, size=(4, 5)), [[0.0] * 5]])
         assert np.array_equal(gower_cross(rows, cols, table), loop_gower_cross(rows, others, table))
@@ -307,7 +315,7 @@ class TestGowerCross:
     def test_duplicate_rows_coded_once(self, values):
         """A duplicate-heavy row set: each distinct row is summed once, its
         copies get its distances, and the shape keeps every row. A column of
-        more than 256 distinct values needs two-byte codes."""
+        more than 256 distinct values has codes wider than one byte."""
         rng = np.random.default_rng(values)
         table = self.table(rng, 6)
         others = count_rows(rng, 400, 6)
@@ -315,14 +323,12 @@ class TestGowerCross:
         others = others[rng.permutation(np.r_[np.arange(400), rng.integers(0, 400, size=100)])]
         cols = GowerColumns.of(others)
         distinct = np.unique(others, axis=0)
-        assert cols.codes.itemsize == (1 if values < 256 else 2)
         assert cols.shape == others.shape == (500, 6)
         assert cols.keys.shape == (6, len(distinct)) and cols.inverse.shape == (500,)
         first = np.unique(cols.inverse, return_index=True)[1]  # one row per distinct row
         assert (np.diff(first) > 0).all() and (cols.inverse <= np.arange(500)).all()
-        for j in range(6):
-            assert np.array_equal(cols.values[j][cols.codes[j]], others[:, j])
-            assert np.array_equal(cols.flat[cols.keys[j]], others[first, j])
+        assert np.array_equal(expanded(cols), others.T)
+        assert np.array_equal(cols.flat[cols.keys], others[first].T)
         rows = np.vstack([others[:4], rng.uniform(-3.0, 14.0, size=(30, 6))])
         got = gower_cross(rows, cols, table)
         assert np.array_equal(got, loop_gower_cross(rows, others, table))

@@ -553,7 +553,7 @@ class TestFit:
         ds = make_blobs(n=150, p=4, seed=12, separation=1.5)
         model = fit_forest(ds, Hyperparams(2, "gini", 5, n_trees=200),
                            ClassWeights.unit(), seed=0, keep_inbag=True)
-        per_tree = model.predict_proba_trees(ds.features)  # (T, n)
+        per_tree = model.table.leaf_proba(ds.features)  # (T, n)
         oob = model.inbag == 0
         contrib = np.cumsum(per_tree * oob, axis=0)
         counts = np.cumsum(oob, axis=0)
@@ -636,7 +636,7 @@ class TestNodeTable:
     def test_per_tree_matrix(self, tmp_path):
         models, probe = self.forests(tmp_path)
         for name, model in models.items():
-            per_tree = model.predict_proba_trees(probe)
+            per_tree = model.table.leaf_proba(probe)
             assert per_tree.shape == (model.n_trees, probe.shape[0])
             for t, tree in enumerate(model.trees):
                 one = RandomForestModel((tree,), ClassWeights.unit(), 0, p=model.p)
@@ -795,7 +795,51 @@ class TestDefaults:
         assert {hp.mtry for hp in grid} == {2, 6, 10}
 
 
+def per_node_save(model, path):
+    """Reference writer: the forest's text, one tree and one node at a time
+    from the grower's per-tree arrays."""
+    with Path(path).open("w") as fh:
+        fh.write(forest.FOREST_FORMAT + "\n")
+        fh.write(f"p {model.p}\n")
+        fh.write(f"trees {model.n_trees}\n")
+        fh.write(f"weight_fail {model.class_weights.weight_fail!r}\n")
+        fh.write(f"weight_pass {model.class_weights.weight_pass!r}\n")
+        fh.write(f"seed {model.training_seed}\n")
+        fh.write("tree,node,feature,threshold,left,right,p_fail,p_pass\n")
+        for t, tree in enumerate(model.trees):
+            for i in range(tree.feature.size):
+                if tree.feature[i] < 0:
+                    pf = float(tree.p_fail[i])
+                    fh.write(f"{t},{i},-1,,-1,-1,{pf!r},{1.0 - pf!r}\n")
+                else:
+                    fh.write(
+                        f"{t},{i},{tree.feature[i]},{float(tree.threshold[i])!r},"
+                        f"{tree.left[i]},{tree.right[i]},,\n"
+                    )
+
+
 class TestSerialization:
+    @pytest.mark.parametrize("chunk", [forest._SAVE_NODES, 5, 1])
+    def test_table_writer_matches_per_node_writer(self, tmp_path, monkeypatch, chunk):
+        """`save_model` writes from the node table the bytes that a per-node
+        walk of the trees writes: both rules, unit and cost weights, a loaded
+        forest and one-leaf trees, in one chunk of nodes or in chunks that
+        end inside trees and between them."""
+        monkeypatch.setattr(forest, "_SAVE_NODES", chunk)
+        ds = make_blobs(n=90, p=5, seed=41, separation=0.8)
+        models = [fit_forest(ds, Hyperparams(3, rule, s, n_trees=12), w, seed=6)
+                  for rule in (GINI, EXTRATREES) for s in (1, 8)
+                  for w in (ClassWeights.unit(), cost_weights(ds))]
+        save_model(models[1], tmp_path / "m.forest")
+        models.append(load_model(tmp_path / "m.forest"))
+        models.append(RandomForestModel((leaf_tree(0.1), leaf_tree(1 / 3)),
+                                        ClassWeights.unit(), 4, p=5))
+        for k, model in enumerate(models):
+            save_model(model, tmp_path / "got.forest")
+            per_node_save(model, tmp_path / "want.forest")
+            got = (tmp_path / "got.forest").read_bytes()
+            assert got == (tmp_path / "want.forest").read_bytes(), k
+
     def test_round_trip(self, tmp_path):
         ds = make_blobs(n=60, p=4, seed=31)
         model = fit_forest(ds, Hyperparams(2, "gini", 1, n_trees=6),
