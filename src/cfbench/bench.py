@@ -43,6 +43,7 @@ from . import balance, cfgen, cfeval, forest
 from .cfeval import Cell
 from .dataset import (FAIL_CUT, FRAME_COLUMNS, LabeledDataset, SplitResult, ingest_oulad,
                       load_csv, stratified_split)
+from .distance import GowerColumns
 from .rng import seed_for
 
 logger = logging.getLogger(__name__)
@@ -305,14 +306,17 @@ def generate_for_cell(config: ExperimentConfig, cell: Cell, model, method_train:
 
     ``bounds`` are the original training-split feature ranges, shared by every
     cell so that distances stay comparable across balancing strategies.
-    The pool predictions that whatif and nice filter by are the same for every
-    request, so they are made once here.
+    What does not change from request to request is prepared once here: the
+    pool predictions that whatif and nice filter by, and the coded training
+    features (`GowerColumns`) that MOC and plausibility measure against. Each
+    request's counterfactuals are scored in one batch.
     Returns (quality records, (counterfactual, valid) pairs).
     """
     mask = np.ones(test.p, dtype=bool)
     pool_scores = None
     if cell.method in (cfgen.WHATIF, cfgen.NICE_SP, cfgen.NICE_PR):
         pool_scores = model.predict_proba_batch(method_train.features)
+    columns = GowerColumns.of(method_train.features)
     records = []
     items = []
     for row in fail_rows:
@@ -326,13 +330,12 @@ def generate_for_cell(config: ExperimentConfig, cell: Cell, model, method_train:
             cfs = [cfgen.nice(req, model, method_train, cfgen.PROXIMITY, scores=pool_scores)]
         elif cell.method == cfgen.MOC:
             moc_seed = seed_for(config.master_seed, cell, f"moc:{row}")
-            cfs = cfgen.moc(req, model, method_train, config.moc_config(moc_seed))
+            cfs = cfgen.moc(req, model, method_train, config.moc_config(moc_seed), columns)
         else:
             raise ValueError(f"unknown method {cell.method!r}")
-        for cf in cfs:
-            record = cfeval.score(cf, model, method_train, cell)
-            records.append(record)
-            items.append((cf, record.validity == 1))
+        scored = cfeval.score_request(cfs, model, columns, cell)
+        records.extend(scored)
+        items.extend((cf, record.validity == 1) for cf, record in zip(cfs, scored))
     return records, items
 
 

@@ -12,6 +12,11 @@ Five metrics per counterfactual:
 * plausibility  -- Gower distance to the nearest training instance (0 means
   the counterfactual is a real training row); lower is better.
 
+`score_request` scores the counterfactuals of one request together: one model
+call predicts every counterfactual and each of its one-feature reverts, and
+one `gower_cross` against the prepared training features gives every
+plausibility. `score` builds each record from its share of those results.
+
 A cell is one (balancing, tuning, method) combination of the benchmark grid.
 Aggregation reports median and quartiles per metric per cell, ready to plot
 as error bars.
@@ -28,7 +33,7 @@ import numpy as np
 
 from .cfgen import Counterfactual
 from .dataset import FAIL_CUT
-from .distance import gower, gower_many
+from .distance import GowerColumns, gower_cross, gower_many
 
 METRIC_NAMES = ("validity", "proximity", "sparsity", "minimality", "plausibility")
 
@@ -73,28 +78,52 @@ class CellSummary:
     stats: dict[str, MetricStats]
 
 
-def score(cf: Counterfactual, model, train, cell: Cell) -> QualityRecord:
-    """Score one counterfactual of ``cell`` against the instance of its
-    request. Proximity and plausibility are normalised by the request's
-    bounds, and the record takes the request's id."""
+def score(cf: Counterfactual, passes: np.ndarray, plausibility: float, cell: Cell) -> QualityRecord:
+    """The record of one counterfactual of ``cell``.
+
+    ``passes`` are the model's pass predictions for the counterfactual and
+    then for each of its changed features reverted to x, in feature order;
+    ``plausibility`` is its Gower distance to the nearest training row.
+    Proximity is normalised by the request's bounds, and the record takes
+    the request's id.
+    """
     req = cf.source_request
-    x, values, ranges = req.x, cf.values, req.ranges()
-    changed = np.flatnonzero(values != x)
-    # one model call: row 0 is the counterfactual, row 1 + i reverts changed[i]
-    rows = np.repeat(values[None, :], 1 + changed.size, axis=0)
-    rows[1 + np.arange(changed.size), changed] = x[changed]
-    passes = model.predict_proba_batch(rows) < FAIL_CUT
-    validity = int(passes[0])
-    minimality = int(passes[1:].sum())
     return QualityRecord(
         request_id=req.request_id,
         cell=cell,
-        validity=validity,
-        proximity=gower(x, values, ranges),
-        sparsity=int(changed.size),
-        minimality=minimality,
-        plausibility=float(gower_many(train.features, values, ranges).min()),
+        validity=int(passes[0]),
+        proximity=float(gower_many(req.x[None], cf.values, req.ranges())[0]),
+        sparsity=int(np.count_nonzero(cf.values != req.x)),
+        minimality=int(passes[1:].sum()),
+        plausibility=plausibility,
     )
+
+
+def score_request(cfs, model, columns: GowerColumns, cell: Cell) -> list[QualityRecord]:
+    """Score the counterfactuals of one request, which share its instance,
+    bounds and id, with one model call and one `gower_cross`.
+
+    The model call holds each counterfactual followed by its one-feature
+    reverts, so it predicts every row `score` needs. Plausibility is each
+    counterfactual's distance to the nearest row of ``columns``, the prepared
+    training features. Each record equals the one of scoring its
+    counterfactual alone.
+    """
+    if not cfs:
+        return []
+    req = cfs[0].source_request
+    if any(cf.source_request is not req for cf in cfs):
+        raise ValueError("counterfactuals of one request expected")
+    x = req.x
+    values = np.array([cf.values for cf in cfs])
+    owner, feature = np.nonzero(values != x)
+    sizes = 1 + np.bincount(owner, minlength=len(cfs))
+    rows = np.repeat(values, sizes, axis=0)
+    # change k overall, of counterfactual i, is reverted k + i + 1 rows down
+    rows[np.arange(owner.size) + owner + 1, feature] = x[feature]
+    passes = np.split(model.predict_proba_batch(rows) < FAIL_CUT, np.cumsum(sizes)[:-1])
+    plausibility = gower_cross(values, columns, req.ranges()).min(axis=1).tolist()
+    return [score(cf, ok, pl, cell) for cf, ok, pl in zip(cfs, passes, plausibility)]
 
 
 def aggregate(records) -> list[CellSummary]:

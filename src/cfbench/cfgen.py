@@ -151,7 +151,8 @@ def objectives(x, cands: np.ndarray, model, train: LabeledDataset, ranges: Range
     o_s = (cands != x).sum(axis=1).astype(np.float64)
     d = gower_cross(cands, columns, ranges)
     k = min(PLAUSIBILITY_NEIGHBORS, train.n)
-    o_pl = np.partition(d, k - 1, axis=1)[:, :k].mean(axis=1)
+    d.partition(k - 1, axis=1)  # in place: d is this call's own, so no (rows, n) copy
+    o_pl = d[:, :k].mean(axis=1)
     return np.column_stack([o_v, o_p, o_s, o_pl]), pfail
 
 
@@ -344,7 +345,8 @@ def _select(obj: np.ndarray, target: int, rows: np.ndarray, ranges: RangeTable) 
     return np.asarray(keep, dtype=np.intp)
 
 
-def moc(req: CfRequest, model, train: LabeledDataset, cfg: MocConfig) -> list[Counterfactual]:
+def moc(req: CfRequest, model, train: LabeledDataset, cfg: MocConfig,
+        columns: GowerColumns | None = None) -> list[Counterfactual]:
     """Four-objective evolutionary counterfactual search.
 
     The population starts from copies of x with a random mutable subset
@@ -366,6 +368,10 @@ def moc(req: CfRequest, model, train: LabeledDataset, cfg: MocConfig) -> list[Co
     crowding mixes in feature-space diversity; both keep the search from
     fixating on the trivially sparse region around x, where no candidate is
     valid.
+
+    ``columns`` is ``GowerColumns.of(train.features)``, built here when not
+    given; a caller explaining many requests against one training split
+    prepares it once.
     """
     x = req.x
     rt = req.ranges()
@@ -380,7 +386,8 @@ def moc(req: CfRequest, model, train: LabeledDataset, cfg: MocConfig) -> list[Co
     archive_obj: list[np.ndarray] = []
     archive_birth: list[np.ndarray] = []
 
-    columns = GowerColumns.of(train.features)
+    if columns is None:
+        columns = GowerColumns.of(train.features)
 
     def evaluate(cands: np.ndarray, gen: int):
         obj, pfail = objectives(x, cands, model, train, rt, columns)

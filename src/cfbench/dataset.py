@@ -58,8 +58,9 @@ OULAD_REQUIRED_FILES = ("studentInfo.csv", "studentVle.csv", "vle.csv")
 # part of one line; memory is bounded by one block, not by the log.
 _LOG_BLOCK = 1 << 16
 _LOG_FORMAT = dict(delimiter=",", comments=None, quotechar='"', ndmin=1)
-# Rows per csv writerows call of LabeledDataset.save_csv
-_SAVE_BATCH = 256
+# Rows per csv writerows call of LabeledDataset.save_csv, and per block of
+# load_csv: a batch's cells are all the Python floats a frame holds at once
+_ROW_BATCH = 256
 
 _RESULT_TO_LABEL = {"Distinction": PASS, "Pass": PASS, "Fail": FAIL}
 _WITHDRAWN = "Withdrawn"
@@ -150,15 +151,15 @@ class LabeledDataset:
             if self.ids is not None:
                 header = [ID_COLUMN] + header
             writer.writerow(header)
-            for start in range(0, self.n, _SAVE_BATCH):
-                batch = self.features[start:start + _SAVE_BATCH]
+            for start in range(0, self.n, _ROW_BATCH):
+                batch = self.features[start:start + _ROW_BATCH]
                 cells = batch.astype(object)  # Python floats, which csv writes as repr
                 integral = (batch == np.trunc(batch)) & (np.abs(batch) < 2**53)
                 cells[integral] = batch[integral].astype(np.int64)
                 rows = [row + [lab] for row, lab
-                        in zip(cells.tolist(), self.labels[start:start + _SAVE_BATCH].tolist())]
+                        in zip(cells.tolist(), self.labels[start:start + _ROW_BATCH].tolist())]
                 if self.ids is not None:
-                    rows = [[i] + row for i, row in zip(self.ids[start:start + _SAVE_BATCH], rows)]
+                    rows = [[i] + row for i, row in zip(self.ids[start:start + _ROW_BATCH], rows)]
                 writer.writerows(rows)
 
 
@@ -197,38 +198,49 @@ def load_csv(path, expected_columns) -> LabeledDataset:
         if missing:
             raise ValueError(f"{path}: missing column(s): {', '.join(missing)}")
         id_pos = pos.get(ID_COLUMN)
+        feature_pos = [pos[c] for c in feature_cols]
+        label_pos = pos[label_col]
 
-        rows, labels, ids = [], [], []
+        blocks, batch, labels, ids = [], [], [], []
         for rownum, record in enumerate(reader, start=1):
             if not record:
                 continue
             if len(record) < len(header):
                 raise ValueError(f"{path}: row {rownum}: expected {len(header)} cells, got {len(record)}")
-            values = np.empty(len(feature_cols))
-            for j, col in enumerate(feature_cols):
-                cell = record[pos[col]]
-                try:
-                    v = float(cell)
-                except ValueError:
-                    v = math.nan
-                if not math.isfinite(v):
-                    raise ValueError(
-                        f"{path}: row {rownum}, column {col!r}: cannot parse {cell!r} as a number"
-                    )
-                values[j] = v
-            lab = record[pos[label_col]]
+            try:
+                values = [float(record[i]) for i in feature_pos]
+            except ValueError:
+                values = None
+            # finite cells have a finite sum unless it overflows, so only a
+            # row that may hold a bad cell is checked cell by cell
+            if values is None or not math.isfinite(sum(values)):
+                for col, i in zip(feature_cols, feature_pos):
+                    cell = record[i]
+                    try:
+                        v = float(cell)
+                    except ValueError:
+                        v = math.nan
+                    if not math.isfinite(v):
+                        raise ValueError(
+                            f"{path}: row {rownum}, column {col!r}: cannot parse {cell!r} as a number"
+                        )
+            lab = record[label_pos]
             if lab not in LABELS:
                 raise ValueError(
                     f"{path}: row {rownum}, column {label_col!r}: invalid label {lab!r}"
                 )
-            rows.append(values)
+            batch.append(values)
+            if len(batch) == _ROW_BATCH:
+                blocks.append(np.array(batch))
+                batch = []
             labels.append(lab)
             if id_pos is not None:
                 ids.append(record[id_pos])
 
-    if not rows:
+    if not labels:
         raise ValueError(f"{path}: no data rows")
-    return LabeledDataset(np.vstack(rows), labels, feature_cols,
+    blocks.append(np.array(batch).reshape(-1, len(feature_cols)))
+    return LabeledDataset(np.concatenate(blocks), labels, feature_cols,
                           ids if id_pos is not None else None)
 
 

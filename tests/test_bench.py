@@ -482,7 +482,7 @@ def one_at_a_time(config, cell, model, train, test, bounds, fail_rows):
 
 class TestHoisting:
     """A whatif or nice cell predicts its pool once, scoring makes one model
-    call per counterfactual, and the records equal the one-at-a-time reference."""
+    call per request, and the records equal the one-at-a-time reference."""
 
     @pytest.mark.parametrize("method", ["whatif", "nice_sp", "nice_pr"])
     def test_one_pool_call_per_cell(self, frame_csv, tmp_path, monkeypatch, method):
@@ -492,15 +492,19 @@ class TestHoisting:
         train, weights = prepare_training(config, pipe.split.train, cell.balancing)
         model, _, _ = fit_block(config, train, weights, cell.balancing, cell.tuning)
         fail_rows = fail_predicted_rows(model, pipe.split.test, 4)
-        assert len(fail_rows) > 1 and train.n > 1 + train.p  # a score call is never pool-sized
+        assert len(fail_rows) > 1 and train.n > 1 + train.p  # a nice call is never pool-sized
         expected, values = one_at_a_time(config, cell, model, train, pipe.split.test,
                                          pipe.split.train.bounds, fail_rows)
 
         calls = count_predict_calls(monkeypatch)
         records, items = generate_for_cell(config, cell, model, train, pipe.split.test,
                                            pipe.split.train.bounds, fail_rows)
-        assert calls.count(train.n) == 1
         assert records == expected
         assert [cf.values.tolist() for cf, _ in items] == values
-        if method == "whatif":  # the pool call, then one call per counterfactual
-            assert calls == [train.n] + [1 + r.sparsity for r in records]
+        if method == "whatif":  # the pool call, then one call per request
+            per_request = {row: 0 for row in fail_rows}
+            for r in records:
+                per_request[r.request_id] += 1 + r.sparsity
+            assert calls == [train.n] + list(per_request.values())
+        else:  # a request's greedy steps and its scoring batch are all smaller
+            assert calls[0] == train.n and train.n not in calls[1:]

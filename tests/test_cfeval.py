@@ -7,13 +7,14 @@ from cfbench.cfeval import (
     QualityRecord,
     aggregate,
     read_quality_records,
-    score,
+    score_request,
     write_cell_summaries,
     write_quality_records,
 )
 from cfbench.balance import ClassWeights
 from cfbench.cfgen import SPARSITY, CfRequest, Counterfactual, nice, whatif
 from cfbench.dataset import FAIL, PASS, LabeledDataset
+from cfbench.distance import GowerColumns, gower, gower_many
 from cfbench.forest import Hyperparams, RandomForestModel, fit_forest
 
 from conftest import StubModel
@@ -37,6 +38,30 @@ def quality(request_id=0, cell=CELL, validity=1,
     return QualityRecord(request_id, cell, validity, proximity, sparsity, minimality, plausibility)
 
 
+def scored(cfs, model, train):
+    return score_request(cfs, model, GowerColumns.of(train.features), CELL)
+
+
+def one_at_a_time(cf, model, train):
+    """Reference record: every prediction a single-row call, plausibility a
+    scan of the training rows, proximity a one-row distance."""
+    req = cf.source_request
+    x, ranges = req.x, req.ranges()
+    changed = np.flatnonzero(cf.values != x)
+    minimality = 0
+    for j in changed:
+        probe = cf.values.copy()
+        probe[j] = x[j]
+        minimality += int(model.predict_proba(probe) < 0.5)
+    return QualityRecord(
+        request_id=req.request_id, cell=CELL,
+        validity=int(model.predict_proba(cf.values) < 0.5),
+        proximity=gower(x, cf.values, ranges), sparsity=int(changed.size),
+        minimality=minimality,
+        plausibility=float(gower_many(train.features, cf.values, ranges).min()),
+    )
+
+
 class TestScore:
     def setup_method(self):
         # pass iff f1 >= 1, regardless of f2
@@ -47,17 +72,17 @@ class TestScore:
 
     def test_whatif_output_is_plausible_and_valid(self):
         cfs = whatif(self.req, self.model, self.train, k=1)
-        rec = score(cfs[0], self.model, self.train, CELL)
+        rec, = scored(cfs, self.model, self.train)
         assert rec.validity == 1
         assert rec.plausibility == 0.0
 
     def test_identity_counterfactual(self):
-        rec = score(make_cf([0, 0], self.req), self.model, self.train, CELL)
+        rec, = scored([make_cf([0, 0], self.req)], self.model, self.train)
         assert (rec.validity, rec.proximity, rec.sparsity, rec.minimality) == (0, 0.0, 0, 0)
 
     def test_redundant_change_counted_by_reversion(self):
         """cf changes both features but only f1 was necessary: minimality 1."""
-        rec = score(make_cf([1, 5], self.req), self.model, self.train, CELL)
+        rec, = scored([make_cf([1, 5], self.req)], self.model, self.train)
         assert rec.validity == 1
         assert rec.sparsity == 2
         assert rec.minimality == 1
@@ -68,11 +93,11 @@ class TestScore:
         bounds (widths 4 and 10), and the record takes the request's id."""
         req = CfRequest(x=self.x, mutable_mask=[True, True], bounds=[[0, 4], [0, 10]],
                         request_id=7)
-        rec = score(make_cf([1, 5], req), self.model, self.train, CELL)
+        rec, = scored([make_cf([1, 5], req)], self.model, self.train)
         assert rec.request_id == 7
         assert rec.proximity == (1 / 4 + 5 / 10) / 2
         assert rec.plausibility == (1 / 4 + 0 / 10) / 2  # the training row [2, 5]
-        own = score(make_cf([1, 5], self.req), self.model, self.train, CELL)
+        own, = scored([make_cf([1, 5], self.req)], self.model, self.train)
         assert (own.proximity, own.plausibility) == ((1 / 2 + 5 / 5) / 2, (1 / 2 + 0 / 5) / 2)
 
     def test_reversion_oracle_on_random_cases(self):
@@ -82,11 +107,12 @@ class TestScore:
         train = dataset(rng.uniform(0, 5, size=(10, 3)), [PASS] * 5 + [FAIL] * 5)
         x = np.zeros(3)
         req = CfRequest.for_instance(x, train)
-        for _ in range(50):
+        cands = []
+        while len(cands) < 50:
             cand = np.where(rng.random(3) < 0.5, rng.uniform(0, 5, 3), x)
-            if model.predict_proba(cand) >= 0.5:
-                continue
-            rec = score(make_cf(cand, req), model, train, CELL)
+            if model.predict_proba(cand) < 0.5:
+                cands.append(cand)
+        for cand, rec in zip(cands, scored([make_cf(c, req) for c in cands], model, train)):
             expected = 0
             for j in range(3):
                 if cand[j] != x[j]:
@@ -99,17 +125,48 @@ class TestScore:
 
     def test_pure_function(self):
         cf = make_cf([1, 3], self.req)
-        a = score(cf, self.model, self.train, CELL)
-        b = score(cf, self.model, self.train, CELL)
-        assert a == b
+        assert scored([cf], self.model, self.train) == scored([cf], self.model, self.train)
 
     def test_nice_always_valid(self):
         cf = nice(self.req, self.model, self.train, SPARSITY)
-        rec = score(cf, self.model, self.train, CELL)
+        rec, = scored([cf], self.model, self.train)
         assert rec.validity == 1
 
-    def test_one_forest_call_per_counterfactual(self, monkeypatch):
-        """Validity and minimality come from one batch: the same as single-row calls."""
+    def test_no_counterfactuals_no_records(self):
+        assert scored([], self.model, self.train) == []
+
+    def test_counterfactuals_of_one_request_only(self):
+        other = CfRequest.for_instance(self.x, self.train)
+        with pytest.raises(ValueError, match="one request"):
+            scored([make_cf([1, 5], self.req), make_cf([1, 5], other)], self.model, self.train)
+
+    @pytest.mark.parametrize("bounds", ["train", "other"])
+    def test_batch_equals_scoring_each_alone(self, bounds):
+        """Scoring a request's counterfactuals together gives exactly the
+        records of scoring each alone and of the single-row reference, also
+        for a counterfactual equal to x and for a request whose bounds
+        differ from the training split's (wider, and one of zero width)."""
+        train = make_blobs(n=120, p=12, seed=4, separation=0.7)
+        model = fit_forest(train, Hyperparams(3, "gini", 1, n_trees=9), ClassWeights.unit(), 2)
+        rng = np.random.default_rng(9)
+        x = train.features[1]
+        if bounds == "train":
+            req = CfRequest.for_instance(x, train, request_id=3)
+        else:
+            wide = train.bounds + [-1.0, 2.0]
+            wide[5] = wide[5, 0]
+            req = CfRequest(x=x, mutable_mask=np.ones(12, dtype=bool), bounds=wide, request_id=3)
+        cands = [x, *np.where(rng.random((25, 12)) < 0.4, rng.normal(size=(25, 12)), x)]
+        cfs = [make_cf(c, req) for c in cands]
+        batch = scored(cfs, model, train)
+        assert batch == [scored([cf], model, train)[0] for cf in cfs]
+        assert batch == [one_at_a_time(cf, model, train) for cf in cfs]
+        assert batch[0].sparsity == 0 and {r.validity for r in batch} == {0, 1}
+
+    def test_one_forest_call_per_request(self, monkeypatch):
+        """Validity and minimality of a request's counterfactuals come from
+        one batch of the counterfactuals and their reverts: the same as
+        single-row calls."""
         train = make_blobs(n=80, p=4, seed=3, separation=0.7)
         model = fit_forest(train, Hyperparams(2, "gini", 1, n_trees=9), ClassWeights.unit(), 1)
         rng = np.random.default_rng(5)
@@ -129,10 +186,12 @@ class TestScore:
             return original(self, X)
 
         monkeypatch.setattr(RandomForestModel, "predict_proba_batch", counting)
-        for cand, (validity, minimality) in zip(cands, single):
-            rec = score(make_cf(cand, req), model, train, CELL)
-            assert (rec.validity, rec.minimality) == (validity, minimality)
-        assert calls == [1 + int((cand != x).sum()) for cand in cands]
+        requests = [cands[:1], cands[1:11], cands[11:]]
+        records = []
+        for group in requests:
+            records += scored([make_cf(c, req) for c in group], model, train)
+        assert [(r.validity, r.minimality) for r in records] == single
+        assert calls == [sum(1 + int((c != x).sum()) for c in group) for group in requests]
         assert {v for v, _ in single} == {0, 1}
 
     def test_invariant_enforced(self):

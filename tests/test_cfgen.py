@@ -401,6 +401,27 @@ class TestMoc:
             assert np.array_equal(a.values, b.values)
             assert a.generation_meta == b.generation_meta
 
+    def test_given_columns_match_columns_built_here(self, monkeypatch):
+        """MOC with the caller's prepared columns returns what it returns
+        when it builds them itself, and builds none when they are given."""
+        model, train, req, cfg = one_dim_setup(seed=13)
+        columns = GowerColumns.of(train.features)
+        original, of_train = GowerColumns.of, []
+
+        def counting(rows):
+            of_train.append(rows is train.features)
+            return original(rows)
+
+        monkeypatch.setattr(GowerColumns, "of", counting)
+        built = moc(req, model, train, cfg)
+        assert of_train.count(True) == 1
+        given = moc(req, model, train, cfg, columns)
+        assert of_train.count(True) == 1
+        assert built and len(built) == len(given)
+        for a, b in zip(built, given):
+            assert np.array_equal(a.values, b.values)
+            assert a.generation_meta == b.generation_meta
+
     def test_oversampled_training_matches_loop_kernel(self, monkeypatch):
         """On a training split with duplicated rows, MOC gives the same front
         through the prepared columns as through the per-pair reference loop."""

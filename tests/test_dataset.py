@@ -49,6 +49,36 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match=r"row 2, column 'b'"):
             load_csv(f, ["a", "b", "final_result"])
 
+    @pytest.mark.parametrize("rows, message", [
+        ("1,inf,fail\nx,2,pass\n", r"row 1, column 'b': cannot parse 'inf'"),
+        ("1,2,fail\nnan,x,pass\n", r"row 2, column 'a': cannot parse 'nan'"),
+        ("1,2,maybe\nx,2,pass\n", r"row 1, column 'c': invalid label 'maybe'"),
+        ("1,-inf,maybe\n", r"row 1, column 'b': cannot parse '-inf'"),
+        ("1e308,1e308,fail\n,2,pass\n", r"row 2, column 'a': cannot parse ''"),
+    ])
+    def test_first_bad_cell_in_file_order(self, tmp_path, rows, message):
+        """Errors name the first bad cell: rows in order, a row's feature
+        cells in column order before its label."""
+        f = write(tmp_path / "d.csv", "a,b,c\n" + rows)
+        with pytest.raises(ValueError, match=message):
+            load_csv(f, ["a", "b", "c"])
+
+    @pytest.mark.parametrize("n", [1, 3, 4, 5])
+    def test_rows_across_batches(self, tmp_path, monkeypatch, n):
+        """Batches of 2 rows: a short last batch, an empty one, several."""
+        monkeypatch.setattr(dataset, "_ROW_BATCH", 2)
+        values = np.arange(3.0 * n).reshape(n, 3) / 4
+        text = "".join(f"{a!r},{b!r},{c!r},pass\n" for a, b, c in values.tolist())
+        ds = load_csv(write(tmp_path / "d.csv", "a,b,c,final_result\n" + text),
+                      ["a", "b", "c", "final_result"])
+        assert ds.features.dtype == np.float64
+        assert np.array_equal(ds.features, values)
+
+    def test_finite_cells_whose_sum_overflows(self, tmp_path):
+        f = write(tmp_path / "d.csv", "a,b,final_result\n1e308,1e308,fail\n-1e308,-1e308,pass\n")
+        ds = load_csv(f, ["a", "b", "final_result"])
+        np.testing.assert_array_equal(ds.features, [[1e308, 1e308], [-1e308, -1e308]])
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_csv(tmp_path / "nope.csv", ["a", "final_result"])

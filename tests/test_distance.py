@@ -336,6 +336,28 @@ class TestGowerCross:
             copies = np.flatnonzero((others == others[i]).all(axis=1))
             assert (got[:, copies] == got[:, [i]]).all()
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_many_rows_sum_as_cross_does(self, seed):
+        """Multi-row `gower_many` adds the active features' terms one after
+        another in ascending order, as `gower_cross` does, so a batch of
+        nearest-row distances through prepared columns equals one scan per
+        row bit for bit. Enough real-valued features that a pairwise sum
+        would differ, repeated rows, and several zero-width features."""
+        rng = np.random.default_rng(80 + seed)
+        p = int(rng.integers(9, 45))
+        widths = rng.uniform(0.5, 12.0, size=p)
+        widths[rng.choice(p, size=3, replace=False)] = 0.0
+        table = RangeTable(widths)
+        n = int(rng.integers(2, 300))
+        others = rng.uniform(-1.0, 13.0, size=(n, p))
+        others[:, : p // 2] = count_rows(rng, n, p // 2)
+        others = others[rng.integers(0, n, size=n + 20)]  # repeated rows
+        rows = np.vstack([others[:3], rng.uniform(-3.0, 15.0, size=(int(rng.integers(1, 40)), p))])
+        many = np.array([gower_many(others, v, table) for v in rows])
+        cross = gower_cross(rows, GowerColumns.of(others), table)
+        assert np.array_equal(cross, many)
+        assert np.array_equal(cross.min(axis=1), [gower_many(others, v, table).min() for v in rows])
+
     def test_errors(self):
         with pytest.raises(ValueError, match="dimension"):
             gower_cross(np.zeros((2, 3)), np.zeros((4, 2)), rt(1, 1))
