@@ -301,17 +301,18 @@ def fit_block(config: ExperimentConfig, method_train: LabeledDataset,
 
 
 def generate_for_cell(config: ExperimentConfig, cell: Cell, model, method_train: LabeledDataset,
-                      test: LabeledDataset, bounds: np.ndarray, fail_rows):
-    """Generate and score counterfactuals for every capped fail-predicted test row.
+                      split: SplitResult, fail_rows):
+    """Generate and score counterfactuals for the ``fail_rows`` of ``split.test``.
 
-    ``bounds`` are the original training-split feature ranges, shared by every
-    cell so that distances stay comparable across balancing strategies.
+    Requests take their bounds from ``split.train``, the original training
+    split, so that distances stay comparable across balancing strategies.
     What does not change from request to request is prepared once here: the
     pool predictions that whatif and nice filter by, and the coded training
     features (`GowerColumns`) that MOC and plausibility measure against. Each
     request's counterfactuals are scored in one batch.
     Returns (quality records, (counterfactual, valid) pairs).
     """
+    test, bounds = split.test, split.train.bounds
     mask = np.ones(test.p, dtype=bool)
     pool_scores = None
     if cell.method in (cfgen.WHATIF, cfgen.NICE_SP, cfgen.NICE_PR):
@@ -371,9 +372,7 @@ class Pipeline:
     ``manifest`` is the directory's one manifest: the one an earlier
     invocation left in ``out``, else a new one. Each step records and saves
     its own entry, done or failed, and resumes a block or cell from its files
-    when its entry is done under the step's reuse key. Every cell's requests
-    take their bounds from ``split.train``, the original training split, so
-    that distances stay comparable across balancing strategies.
+    when its entry is done under the step's reuse key.
     """
 
     config: ExperimentConfig
@@ -473,8 +472,7 @@ class Pipeline:
         t0 = time.perf_counter()
         try:
             records, items = generate_for_cell(self.config, cell, model, method_train,
-                                               self.split.test, self.split.train.bounds,
-                                               fail_rows)
+                                               self.split, fail_rows)
         except Exception as exc:  # noqa: BLE001 - a failing cell must not kill the run
             logger.exception("cell %s failed", name)
             self._record(self.manifest.cells, name, {"status": "failed", "error": str(exc)},

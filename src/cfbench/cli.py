@@ -87,8 +87,7 @@ def cmd_train(args) -> int:
     config = _select(_load_config(args), args.cell, want_method=False)
     balancing, tuning = config.balancing[0], config.tuning[0]
     with _data_errors("train"):
-        pipe = bench.Pipeline.open(config)
-    _, _, entry = pipe.block(balancing, tuning)
+        _, _, entry = bench.Pipeline.open(config).block(balancing, tuning)
     model_path, _ = bench.block_files(config.output_dir, balancing, tuning)
     hp, metrics = entry["hyperparams"], entry["metrics"]
     print(f"cell {balancing}:{tuning}")
@@ -104,7 +103,7 @@ def cmd_explain(args) -> int:
     cell = _select(config, args.cell, want_method=True).cells()[0]
     with _data_errors("explain"):
         pipe = bench.Pipeline.open(config)
-    method_train, model, _ = pipe.block(cell.balancing, cell.tuning)
+        method_train, model, _ = pipe.block(cell.balancing, cell.tuning)
     split = pipe.split
     fail_rows = bench.fail_predicted_rows(model, split.test, config.max_explained_instances)
     if not fail_rows:
@@ -113,8 +112,7 @@ def cmd_explain(args) -> int:
     row = args.index if args.index is not None else fail_rows[0]
     if row not in fail_rows:
         raise SystemExit(f"test row {row} is not among the fail-predicted rows {fail_rows[:10]}...")
-    records, items = bench.generate_for_cell(config, cell, model, method_train,
-                                             split.test, split.train.bounds, [row])
+    records, items = bench.generate_for_cell(config, cell, model, method_train, split, [row])
     if not items:
         print(f"request {row}: no valid counterfactual found")
         return 1

@@ -16,9 +16,11 @@ and extratrees thresholds from a stream keyed by the tree's key and the
 node's path (`rng.path_key`), not from the tree's stream in growth order. So
 no node's draws depend on which other nodes split, and the tree grown at
 ``min_node_size`` s is the tree grown at 1 with every node of fewer than s
-bootstrap rows made a leaf (`prune`). `tune` uses this to grow one forest per
-(mtry, splitrule) and fold for all its min_node_sizes. A fitted model is
-immutable and safe for concurrent prediction.
+bootstrap rows made a leaf (`NodeTable.pruned`). `tune` uses this to grow one
+forest per (mtry, splitrule) and fold for all its min_node_sizes. A fitted
+model is immutable and safe for concurrent prediction. A forest is one
+`NodeTable` for prediction, pruning and its file; only the grower's output,
+which `fit_forest` keeps for its node counts, is per tree (`Tree`).
 
 Trees grow level by level, a group of trees at a time (`_grow_group`), and
 their nodes are numbered depth first afterwards, so the order of growth
@@ -97,11 +99,9 @@ class EvalMetrics:
 
 @dataclass(frozen=True)
 class Tree:
-    """Flat binary tree: feature[i] == -1 marks node i as a leaf.
-
-    A grown tree also holds every node's bootstrap row ``count`` and fail
-    count ``fails``, which `prune` reads; a loaded tree has neither.
-    """
+    """One grown tree, flat: feature[i] == -1 marks node i as a leaf. The
+    grower also gives every node's bootstrap row ``count`` and fail count
+    ``fails``, which `tune` prunes by."""
 
     feature: np.ndarray
     threshold: np.ndarray
@@ -118,10 +118,10 @@ class NodeTable:
 
     Tree t's nodes follow tree t-1's, its root is ``roots[t]`` and child
     indices are global. A leaf's two children are the leaf itself (and its
-    split feature is 0), so a traversal step needs no leaf mask: after
-    ``depth`` steps every (tree, row) pair is at its leaf. ``children[2 * i]``
-    is node i's right child and ``children[2 * i + 1]`` its left one. The
-    arrays are read-only.
+    split feature is a column: 0, or a pruned split's), so a traversal step
+    needs no leaf mask: after ``depth`` steps every (tree, row) pair is at
+    its leaf. ``children[2 * i]`` is node i's right child and
+    ``children[2 * i + 1]`` its left one. The arrays are read-only.
     """
 
     feature: np.ndarray
@@ -133,27 +133,50 @@ class NodeTable:
 
     @classmethod
     def of(cls, trees) -> "NodeTable":
-        sizes = np.array([t.feature.size for t in trees], dtype=np.intp)
-        roots = np.concatenate([[0], np.cumsum(sizes)[:-1]]).astype(np.intp)
-        feature = np.concatenate([t.feature for t in trees]).astype(np.intp)
+        """The table of the grower's per-tree output."""
+        columns = zip(*((t.feature, t.threshold, t.left, t.right, t.p_fail) for t in trees))
+        return cls.of_columns(np.array([t.feature.size for t in trees]),
+                              *(np.concatenate(column) for column in columns))
+
+    @classmethod
+    def of_columns(cls, sizes, feature, threshold, left, right, p_fail) -> "NodeTable":
+        """The table of trees whose nodes follow one another, ``sizes[t]`` for
+        tree t, child indices local to their tree and feature -1 at a leaf.
+        The table holds ``threshold`` and ``p_fail`` themselves."""
+        roots = (np.cumsum(sizes) - sizes).astype(np.intp)
+        feature = feature.astype(np.intp)
         leaf = feature < 0
-        right_left = np.column_stack([np.concatenate([t.right for t in trees]),
-                                      np.concatenate([t.left for t in trees])])
         children = np.where(leaf[:, None], np.arange(feature.size)[:, None],
-                            right_left + np.repeat(roots, sizes)[:, None]).astype(np.intp)
+                            np.column_stack([right, left]) + np.repeat(roots, sizes)[:, None])
         feature[leaf] = 0
+        return cls._frozen(feature, threshold, children.ravel(), p_fail, roots)
+
+    @classmethod
+    def _frozen(cls, feature, threshold, children, p_fail, roots) -> "NodeTable":
+        """The read-only table of these arrays, its ``depth`` walked from the roots."""
+        pairs = children.reshape(-1, 2)
         depth, level = 0, roots
         while True:  # one pass per level, over all trees at once
-            level = level[~leaf[level]]
+            level = level[pairs[level, 0] != level]
             if not level.size:
                 break
-            level = children[level].ravel()
+            level = pairs[level].ravel()
             depth += 1
-        table = cls(feature, np.concatenate([t.threshold for t in trees]), children.ravel(),
-                    np.concatenate([t.p_fail for t in trees]), roots, depth)
-        for arr in (table.feature, table.threshold, table.children, table.p_fail, table.roots):
+        for arr in (feature, threshold, children, p_fail, roots):
             arr.setflags(write=False)
-        return table
+        return cls(feature, threshold, children, p_fail, roots, depth)
+
+    def pruned(self, count, fails, min_node_size: int) -> "NodeTable":
+        """The table of the trees grown at ``min_node_size``, from this one of
+        trees grown at a smaller size (or the same) whose nodes hold ``count``
+        bootstrap rows and ``fails`` fail rows: each split node of fewer rows
+        becomes a leaf of value fails / count, its subtree left unreachable."""
+        node = np.arange(self.feature.size)
+        pairs = self.children.reshape(-1, 2)
+        cut = (pairs[:, 0] != node) & (count < min_node_size)
+        return self._frozen(self.feature, self.threshold,
+                            np.where(cut[:, None], node[:, None], pairs).ravel(),
+                            np.where(cut, fails / count, self.p_fail), self.roots)
 
     def leaf_proba(self, X: np.ndarray) -> np.ndarray:
         """Leaf fail probability of every (tree, row) pair, shape (n_trees, n_rows)."""
@@ -169,19 +192,17 @@ class NodeTable:
 
 @dataclass(frozen=True)
 class RandomForestModel:
-    """A fitted forest. ``trees`` is the grower's per-tree output, which
-    `tune` prunes; prediction and `save_model` go through ``table``, one
-    `NodeTable` of all trees, built here."""
+    """A fitted forest: ``table``, one `NodeTable` of all its trees, which
+    prediction and `save_model` read. A forest that `fit_forest` returns
+    also holds the grower's per-tree output, ``trees``, whose node counts
+    `tune` prunes by; a pruned or loaded forest has none."""
 
-    trees: tuple[Tree, ...]
+    table: NodeTable
     class_weights: ClassWeights
     training_seed: int
     p: int
     inbag: np.ndarray | None = field(default=None, repr=False)
-    table: NodeTable = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "table", NodeTable.of(self.trees))
+    trees: tuple[Tree, ...] | None = field(default=None, repr=False, compare=False)
 
     @property
     def n_trees(self) -> int:
@@ -425,40 +446,6 @@ def _number_nodes(levels) -> list[Tree]:
             for lo, hi in zip(offset, offset + n_nodes)]
 
 
-def prune(tree: Tree, min_node_size: int) -> Tree:
-    """The tree that the grower gives at ``min_node_size``, from one it grew
-    at a smaller size (or the same): every split node of fewer bootstrap rows
-    becomes a leaf of value fails / rows, and its subtree goes.
-
-    Node draws are keyed by path, so a kept node splits as it did, and the
-    kept nodes keep their relative order: the grower numbers children in the
-    order their parents split, which cutting subtrees does not change.
-    """
-    if tree.count is None:
-        raise ValueError("prune needs a grown tree; a loaded one has no node counts")
-    cut = (tree.feature >= 0) & (tree.count < min_node_size)
-    if not cut.any():
-        return tree
-    split = (tree.feature >= 0) & ~cut
-    keep = np.zeros(tree.feature.size, dtype=bool)
-    level = np.zeros(1, dtype=np.intp)
-    while level.size:  # one pass per level, from the root
-        keep[level] = True
-        level = level[split[level]]
-        level = np.concatenate([tree.left[level], tree.right[level]])
-    new_index = np.cumsum(keep, dtype=np.int32) - 1
-    p_fail = np.where(cut, tree.fails / tree.count, tree.p_fail)
-    return Tree(
-        feature=np.where(split, tree.feature, -1)[keep],
-        threshold=np.where(split, tree.threshold, math.nan)[keep],
-        left=np.where(split, new_index[tree.left], -1)[keep],
-        right=np.where(split, new_index[tree.right], -1)[keep],
-        p_fail=p_fail[keep],
-        count=tree.count[keep],
-        fails=tree.fails[keep],
-    )
-
-
 def _fit_trees(X, y01, hp, seed, row_weight, weighted_split, bootstrap_p, keep_inbag):
     """The forest's trees and, with ``keep_inbag``, each tree's bootstrap
     counts. Tree t draws its bootstrap and then its key from stream t; trees
@@ -501,8 +488,7 @@ def fit_forest(train: LabeledDataset, hp: Hyperparams, weights: ClassWeights,
     else:
         w_row = weights.per_row(train.labels)
         trees, inbag = _fit_trees(X, y01, hp, seed, w_row, True, w_row / w_row.sum(), keep_inbag)
-    return RandomForestModel(trees=trees, class_weights=weights, training_seed=int(seed),
-                             p=train.p, inbag=inbag)
+    return RandomForestModel(NodeTable.of(trees), weights, int(seed), train.p, inbag, trees)
 
 
 def _tied_ranks(x: np.ndarray) -> np.ndarray:
@@ -553,7 +539,7 @@ def evaluate(model: RandomForestModel, test: LabeledDataset) -> EvalMetrics:
 def shared_forests(grid) -> dict[tuple, list[int]]:
     """The grid's points by the forest they share in `tune`, keyed
     (mtry, splitrule, n_trees): one forest grown at the smallest of their
-    min_node_sizes gives each of them by `prune`."""
+    min_node_sizes gives each of them by `NodeTable.pruned`."""
     shared: dict[tuple, list[int]] = {}
     for gi, hp in enumerate(grid):
         shared.setdefault((hp.mtry, hp.splitrule, hp.n_trees), []).append(gi)
@@ -590,10 +576,12 @@ def _cv_totals(train: LabeledDataset, grid, cv: CvSpec, weights: ClassWeights) -
                 smallest = min(grid[gi].min_node_size for gi in points)
                 grown = fit_forest(sub_train, replace(grid[points[0]], min_node_size=smallest),
                                    weights, fold_seed)
+                count = np.concatenate([t.count for t in grown.trees])
+                fails = np.concatenate([t.fails for t in grown.trees])
                 for gi in points:
                     s = grid[gi].min_node_size
                     model = grown if s == smallest else replace(
-                        grown, trees=tuple(prune(t, s) for t in grown.trees))
+                        grown, table=grown.table.pruned(count, fails, s), trees=None)
                     totals[gi] += getattr(evaluate(model, sub_val), cv.objective)
     return totals
 
@@ -604,7 +592,8 @@ def tune(train: LabeledDataset, grid, cv: CvSpec, weights: ClassWeights) -> Hype
     Folds are stratified; the same fold layout and forest seeds are shared by
     every grid point so the comparison is paired. Per fold, the points that
     differ only in min_node_size share one forest (`shared_forests`), and each
-    evaluates its pruned copy, which equals the forest fit at its own size.
+    evaluates its pruned node table (`NodeTable.pruned`), which predicts as
+    the forest fit at its own size.
     Ties keep the earlier grid point.
     """
     grid = list(grid)
@@ -647,41 +636,56 @@ def save_model(model: RandomForestModel, path) -> None:
                           for t, i, leaf, f, thr, lc, rc, pf in lines)
 
 
+def _optional_float(cell: str) -> float:
+    return float(cell) if cell else math.nan
+
+
 def load_model(path) -> RandomForestModel:
+    """Read a `save_model` file straight into a node table, with one
+    `np.loadtxt` of its node lines. A file that is not a well-formed forest
+    raises a `ValueError` that names it."""
     path = Path(path)
-    with path.open() as fh:
-        if fh.readline().strip() != FOREST_FORMAT:
-            raise ValueError(f"{path}: not a {FOREST_FORMAT} file")
-        header = {}
-        for _ in range(5):
-            key, value = fh.readline().split()
-            header[key] = value
-        fh.readline()  # column header
-        per_tree: dict[int, list] = {}
-        for line in fh:
-            parts = line.rstrip("\n").split(",")
-            t = int(parts[0])
-            per_tree.setdefault(t, []).append(parts)
-    trees = []
-    for t in range(int(header["trees"])):
-        rows = per_tree.get(t, [])
-        rows.sort(key=lambda r: int(r[1]))
-        n_nodes = len(rows)
-        tree = Tree(
-            feature=np.array([int(r[2]) for r in rows], dtype=np.int32),
-            threshold=np.array(
-                [float(r[3]) if r[3] else math.nan for r in rows], dtype=np.float64
-            ),
-            left=np.array([int(r[4]) for r in rows], dtype=np.int32),
-            right=np.array([int(r[5]) for r in rows], dtype=np.int32),
-            p_fail=np.array([float(r[6]) if r[6] else math.nan for r in rows], dtype=np.float64),
-        )
-        if n_nodes == 0:
-            raise ValueError(f"{path}: tree {t} has no nodes")
-        trees.append(tree)
-    return RandomForestModel(
-        trees=tuple(trees),
-        class_weights=ClassWeights(float(header["weight_fail"]), float(header["weight_pass"])),
-        training_seed=int(header["seed"]),
-        p=int(header["p"]),
-    )
+    try:
+        with path.open() as fh:
+            if fh.readline().strip() != FOREST_FORMAT:
+                raise ValueError(f"not a {FOREST_FORMAT} file")
+            header = dict(fh.readline().strip().partition(" ")[::2] for _ in range(5))
+            missing = {"p", "trees", "weight_fail", "weight_pass", "seed"} - header.keys()
+            if missing:
+                raise ValueError(f"the header has no {', '.join(sorted(missing))}")
+            fh.readline()  # column header
+            # every cell but p_pass, which is 1 - p_fail
+            names = ("tree", "node", "feature", "threshold", "left", "right", "p_fail")
+            dtype = [(k, float if k in ("threshold", "p_fail") else int) for k in names]
+            nodes = np.loadtxt(fh, dtype, delimiter=",", usecols=range(7), ndmin=1,
+                               converters=dict.fromkeys((3, 6), _optional_float))
+        p, n_trees = int(header["p"]), int(header["trees"])
+        tree, node, feature, left, right = (nodes[k] for k in ("tree", "node", "feature", "left",
+                                                               "right"))
+        roots = np.flatnonzero(np.r_[True, tree[1:] != tree[:-1]])
+        if not tree.size or not np.array_equal(tree[roots], np.arange(n_trees)):
+            raise ValueError(f"tree ids must run 0 to {n_trees - 1} in order, each with nodes")
+        sizes = np.diff(np.r_[roots, tree.size])
+        local, size = np.arange(tree.size) - np.repeat(roots, sizes), np.repeat(sizes, sizes)
+        split = feature != -1
+        for ok, what in (
+                (node == local, "node ids must run from 0 within each tree"),
+                (~split | (feature >= 0) & (feature < p), f"a split feature must be in [0, {p})"),
+                (~split | ~np.isnan(nodes["threshold"]), "a split node needs a threshold"),
+                (~split | (local < left) & (left < size) & (local < right) & (right < size),
+                 "a split node's children must come after it in its tree"),
+                (split | ~np.isnan(nodes["p_fail"]), "a leaf needs a p_fail")):
+            if not ok.all():
+                i = int(ok.argmin())
+                raise ValueError(f"tree {tree[i]} node {node[i]}: {what}")
+        # so the depth walk stays a walk down trees
+        child = np.column_stack([left, right])[split] + np.repeat(roots, sizes)[split, None]
+        if not np.array_equal(np.bincount(child.ravel(), minlength=tree.size), local > 0):
+            raise ValueError("every node but a root must be the child of one split node")
+        weights = ClassWeights(float(header["weight_fail"]), float(header["weight_pass"]))
+        # copies, so that the table keeps none of the parse buffer alive
+        table = NodeTable.of_columns(sizes, feature, nodes["threshold"].copy(), left, right,
+                                     nodes["p_fail"].copy())
+        return RandomForestModel(table, weights, int(header["seed"]), p)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

@@ -327,7 +327,7 @@ class TestRun:
             entry = blocks[f"original:{tuning}"]
             model = load_model(out / "models" / f"original_{tuning}.forest")
             assert entry["trees"] == model.n_trees == 5
-            assert entry["nodes"] == sum(t.feature.size for t in model.trees)
+            assert entry["nodes"] == model.table.feature.size
             assert entry["tune_fits"] == fits
             # tuning is part of the block's seconds
             assert (entry["tune_seconds"] == 0.0) == (tuning == "vanilla")
@@ -367,6 +367,25 @@ class TestRun:
         assert manifest.blocks["smote:vanilla"]["status"] == "failed"
         assert manifest.cells["smote:vanilla:whatif"]["status"] == "failed"
         assert list(out.rglob("smote_*")) == []
+
+    def test_corrupt_forest_of_a_done_block_is_refit(self, frame_csv, tmp_path):
+        """A done block whose forest file no longer loads fails with the
+        loader's message, which names the file, and loses its files; the
+        next run refits it."""
+        out = tmp_path / "out"
+        config = tiny_config(frame_csv, out)
+        run(config)
+        model_file = out / "models" / "original_vanilla.forest"
+        saved = model_file.read_bytes()
+        model_file.write_bytes(saved[:len(saved) // 2])
+        manifest = run(config)
+        assert manifest.blocks["original:vanilla"]["status"] == "failed"
+        assert manifest.blocks["original:vanilla"]["error"].startswith(f"{model_file}: ")
+        assert manifest.cells["original:vanilla:whatif"]["status"] == "failed"
+        assert list(out.rglob("original_vanilla*")) == []
+        manifest = run(config)
+        assert manifest.blocks["original:vanilla"]["status"] == "done"
+        assert model_file.read_bytes() == saved
 
     def test_cell_files_keep_each_methods_promises(self, frame_csv, tmp_path):
         """Read back from ``cells/``: whatif returns its pool rows, NICE changes
@@ -497,8 +516,7 @@ class TestHoisting:
                                          pipe.split.train.bounds, fail_rows)
 
         calls = count_predict_calls(monkeypatch)
-        records, items = generate_for_cell(config, cell, model, train, pipe.split.test,
-                                           pipe.split.train.bounds, fail_rows)
+        records, items = generate_for_cell(config, cell, model, train, pipe.split, fail_rows)
         assert records == expected
         assert [cf.values.tolist() for cf, _ in items] == values
         if method == "whatif":  # the pool call, then one call per request

@@ -95,6 +95,25 @@ def test_data_errors_exit_with_a_message(tmp_path, config_file, argv, frame, mes
     assert message in str(exc.value.code) and str(path) in str(exc.value.code)
 
 
+@pytest.mark.parametrize("argv", [["train", "--cell", "original:tuned"],
+                                  ["explain", "--cell", "original:tuned:whatif"]],
+                         ids=["train", "explain"])
+def test_block_failure_exits_with_a_message(tmp_path, config_file, argv):
+    """A block that fails on its data (6 fail rows cannot fill 5 tuning folds
+    of the training split) ends ``train`` and ``explain`` with its error as the
+    message, and the manifest records the block as failed."""
+    path = tmp_path / "few_fails.csv"
+    make_week_frame(n=40, seed=5, fail_frac=0.15).save_csv(path)
+    text = config_file.read_text()
+    config_file.write_text(text.replace(text.split("frame_csv = ")[1].split("\n")[0], str(path)))
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--config", str(config_file), *argv[1:]])
+    assert str(exc.value.code).startswith(f"{argv[0]}: fold infeasibility: ")
+    manifest = bench.RunManifest.load(tmp_path / "out" / bench.MANIFEST)
+    assert manifest.blocks["original:tuned"]["status"] == "failed"
+    assert "fold infeasibility" in manifest.blocks["original:tuned"]["error"]
+
+
 def test_run_and_report(tmp_path, config_file, capsys):
     assert main(["run", "--config", str(config_file)]) == 0
     captured = capsys.readouterr()

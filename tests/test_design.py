@@ -8,6 +8,9 @@
 * One owner of the output directory's layout: its names (``models``,
   ``cells``, ``manifest.json`` and the four aggregate CSVs) are string
   constants only in ``bench.py``.
+* One forest representation: a `forest.Tree` is made only in
+  `forest._number_nodes`, the grower's output; everything else builds the
+  forest's `NodeTable`.
 * No stored value that only tests read: every dataclass field is read as an
   attribute somewhere in the package. ``RandomForestModel.inbag`` is allowed,
   since only the acceptance tests read it. The rule matches by attribute
@@ -66,6 +69,12 @@ OUTPUT_NAMES = {"models", "cells", "manifest.json", "performance.csv", "counts.c
                 "quality_records.csv", "cell_summaries.csv"}
 
 
+def is_tree_call(node) -> bool:
+    return isinstance(node, ast.Call) and (
+        (isinstance(node.func, ast.Name) and node.func.id == "Tree")
+        or (isinstance(node.func, ast.Attribute) and node.func.attr == "Tree"))
+
+
 def is_output_name(node) -> bool:
     return isinstance(node, ast.Constant) and node.value in OUTPUT_NAMES
 
@@ -107,6 +116,10 @@ def test_generators_made_only_in_rng():
 
 def test_sha256_only_in_reuse_keys_and_stage_seeds():
     assert references(is_sha256) == [("bench", "ExperimentConfig.key"), ("rng", "seed_for")]
+
+
+def test_trees_made_only_by_the_grower():
+    assert references(is_tree_call) == [("forest", "_number_nodes")]
 
 
 def test_output_names_only_in_bench():

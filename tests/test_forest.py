@@ -16,6 +16,7 @@ from cfbench.forest import (
     GINI,
     CvSpec,
     Hyperparams,
+    NodeTable,
     RandomForestModel,
     Tree,
     _cv_totals,
@@ -24,7 +25,6 @@ from cfbench.forest import (
     evaluate,
     fit_forest,
     load_model,
-    prune,
     rank_auc,
     save_model,
     tune,
@@ -67,6 +67,12 @@ def leaf_tree(p_fail):
         right=np.array([-1], dtype=np.int32),
         p_fail=np.array([float(p_fail)]),
     )
+
+
+def leaf_forest(p_fails, p, seed=0):
+    """A forest of one-leaf trees, which it also holds as its ``trees``."""
+    trees = tuple(leaf_tree(v) for v in p_fails)
+    return RandomForestModel(NodeTable.of(trees), ClassWeights.unit(), seed, p, trees=trees)
 
 
 def trees_equal(a, b):
@@ -294,18 +300,17 @@ class TestGroups:
     @given(grower_cases(), st.integers(1, 3))
     def test_trees_equal_reference_in_any_grouping(self, case, size):
         """Groups of 1-3 trees over 5 trees, so the last group is partial
-        when it holds more than one; then a grown-at-1 forest pruned at each
-        size equals the forest grown at that size."""
+        when it holds more than one; then the table of a grown-at-1 forest
+        pruned at each size predicts as the forest grown at that size."""
         ds, hp, weights, seed = case
         hp = replace(hp, n_trees=5)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(forest, "_GROUP_CELLS", size * ds.n * hp.mtry)
-            got = fit_forest(ds, hp, weights, seed).trees
-            full = fit_forest(ds, replace(hp, min_node_size=1), weights, seed).trees
+            got = fit_forest(ds, hp, weights, seed)
+            full = fit_forest(ds, replace(hp, min_node_size=1), weights, seed)
         want = ref_forest(ds, hp, weights, seed)
-        assert all(trees_equal(a, b) for a, b in zip(got, want))
-        pruned = [prune(t, hp.min_node_size) for t in full]
-        assert all(trees_equal(a, b) and counts_equal(a, b) for a, b in zip(got, pruned))
+        assert all(trees_equal(a, b) for a, b in zip(got.trees, want))
+        assert_pruned_is_grown(full, got, hp.min_node_size, ds.features)
 
     def test_rules_weightings_and_sizes_on_counts(self, monkeypatch):
         """Every (rule, weighting, min_node_size 1 or 5) on click counts, 7
@@ -340,19 +345,33 @@ class TestKeyedStream:
         assert reused.at(key).random(12).tolist() == fresh.tolist()
 
 
+def assert_pruned_is_grown(full, grown, s, X):
+    """``full``'s node table pruned at min_node_size ``s`` gives every tree's
+    leaf values of ``grown``, the forest grown at ``s``, bit for bit on the
+    training rows ``X`` and on random probes around them, and has its depth."""
+    count = np.concatenate([t.count for t in full.trees])
+    fails = np.concatenate([t.fails for t in full.trees])
+    pruned = full.table.pruned(count, fails, s)
+    lo, hi = X.min(axis=0) - 1.0, X.max(axis=0) + 1.0
+    probe = np.vstack([X, np.random.default_rng(s).uniform(lo, hi, size=(50, X.shape[1]))])
+    np.testing.assert_array_equal(pruned.leaf_proba(probe), grown.table.leaf_proba(probe),
+                                  err_msg=f"min_node_size {s}")
+    assert pruned.depth == grown.table.depth, s
+
+
 class TestPrune:
-    """A forest grown at min_node_size s is the s = 1 forest pruned at s."""
+    """The node table of a forest grown at min_node_size 1, pruned at s,
+    predicts as the forest grown at s."""
 
     @settings(max_examples=300, derandomize=True, database=None, deadline=None,
               suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
     @given(grower_cases())
     def test_grown_equals_pruned(self, case):
         ds, hp, weights, seed = case
-        full = fit_forest(ds, replace(hp, min_node_size=1), weights, seed).trees
+        full = fit_forest(ds, replace(hp, min_node_size=1), weights, seed)
         for s in (2, 5, 10):
-            grown = fit_forest(ds, replace(hp, min_node_size=s), weights, seed).trees
-            pruned = [prune(t, s) for t in full]
-            assert all(trees_equal(a, b) and counts_equal(a, b) for a, b in zip(grown, pruned)), s
+            grown = fit_forest(ds, replace(hp, min_node_size=s), weights, seed)
+            assert_pruned_is_grown(full, grown, s, ds.features)
 
     def test_rules_and_weightings_on_counts(self):
         """Both split rules and both weightings, on a frame deep enough that
@@ -362,13 +381,12 @@ class TestPrune:
         for rule in (GINI, EXTRATREES):
             for weights in (ClassWeights.unit(), cost_weights(ds)):
                 hp = Hyperparams(3, rule, 1, n_trees=4)
-                full = fit_forest(ds, hp, weights, seed=5).trees
+                full = fit_forest(ds, hp, weights, seed=5)
                 for s in (2, 5, 10):
-                    grown = fit_forest(ds, replace(hp, min_node_size=s), weights, seed=5).trees
-                    pruned = [prune(t, s) for t in full]
-                    assert all(trees_equal(a, b) for a, b in zip(grown, pruned)), (rule, s)
+                    grown = fit_forest(ds, replace(hp, min_node_size=s), weights, seed=5)
+                    assert_pruned_is_grown(full, grown, s, ds.features)
                     # a one-row node is pure, so s = 2 cuts nothing
-                    cuts = sum(t.feature.size for t in grown) < sum(t.feature.size for t in full)
+                    cuts = grown.table.feature.size < full.table.feature.size
                     assert cuts == (s > 2), (rule, s)
 
     def test_node_counts(self):
@@ -391,13 +409,6 @@ class TestPrune:
             go_left = X[idx, f] <= tree.threshold[node]
             stack.append((int(tree.left[node]), idx[go_left]))
             stack.append((int(tree.right[node]), idx[~go_left]))
-
-    def test_loaded_tree_cannot_be_pruned(self, tmp_path):
-        ds = make_blobs(n=40, p=3, seed=2)
-        model = fit_forest(ds, Hyperparams(2, GINI, 1, n_trees=2), ClassWeights.unit(), seed=0)
-        save_model(model, tmp_path / "m.forest")
-        with pytest.raises(ValueError, match="node counts"):
-            prune(load_model(tmp_path / "m.forest").trees[0], 5)
 
 
 class TestLeftSums:
@@ -569,20 +580,20 @@ class TestFit:
 
 class TestPredict:
     def test_unanimous_fail(self):
-        model = RandomForestModel((leaf_tree(1.0), leaf_tree(1.0)), ClassWeights.unit(), 0, p=2)
+        model = leaf_forest([1.0, 1.0], p=2)
         assert model.predict_proba([0.0, 0.0]) == 1.0
 
     def test_mean_of_leaf_probs(self):
-        model = RandomForestModel((leaf_tree(0.2), leaf_tree(0.6)), ClassWeights.unit(), 0, p=1)
+        model = leaf_forest([0.2, 0.6], p=1)
         assert model.predict_proba([0.0]) == pytest.approx(0.4)
 
     def test_tie_goes_to_fail(self):
-        model = RandomForestModel((leaf_tree(0.5),), ClassWeights.unit(), 0, p=1)
+        model = leaf_forest([0.5], p=1)
         test = LabeledDataset.from_arrays([[0.0], [1.0]], [FAIL, PASS])
         assert fail_predicted_rows(model, test, None) == [0, 1]
 
     def test_dimension_mismatch(self):
-        model = RandomForestModel((leaf_tree(0.5),), ClassWeights.unit(), 0, p=2)
+        model = leaf_forest([0.5], p=2)
         with pytest.raises(ValueError, match="dimension"):
             model.predict_proba([1.0])
 
@@ -594,24 +605,25 @@ class TestPredict:
         assert ((proba >= 0.0) & (proba <= 1.0)).all()
 
 
-def oracle_proba(model, X):
-    """One tree and one row at a time, leaf probabilities summed in tree order."""
+def oracle_proba(trees, X):
+    """One tree and one row at a time through a fitted model's ``trees``,
+    leaf probabilities summed in tree order."""
     out = []
     for row in np.atleast_2d(X):
         total = 0.0
-        for tree in model.trees:
+        for tree in trees:
             i = 0
             while tree.feature[i] >= 0:
                 i = tree.left[i] if row[tree.feature[i]] <= tree.threshold[i] else tree.right[i]
             total += tree.p_fail[i]
-        out.append(total / model.n_trees)
+        out.append(total / len(trees))
     return np.array(out)
 
 
 class TestNodeTable:
     """The one traversal over all trees against a per-tree, per-row walk."""
 
-    def forests(self, tmp_path):
+    def forests(self):
         ds = make_blobs(n=90, p=5, seed=41, separation=0.8)
         weighted = cost_weights(ds)
         models = {
@@ -619,32 +631,28 @@ class TestNodeTable:
                 fit_forest(ds, Hyperparams(3, rule, 4, n_trees=40), w, seed=6)
             for rule in ("gini", "extratrees") for w in (ClassWeights.unit(), weighted)
         }
-        save_model(models["gini-weighted"], tmp_path / "m.forest")
-        models["loaded"] = load_model(tmp_path / "m.forest")
         # (0.1 + 0.2) + 0.3 != (0.3 + 0.2) + 0.1: the summation order shows
-        models["single-leaf"] = RandomForestModel(
-            (leaf_tree(0.1), leaf_tree(0.2), leaf_tree(0.3)), ClassWeights.unit(), 0, p=5)
+        models["single-leaf"] = leaf_forest([0.1, 0.2, 0.3], p=5)
         probe = np.vstack([ds.features, np.random.default_rng(2).normal(size=(40, 5)) * 3])
         return models, probe
 
-    def test_matches_oracle_bit_for_bit(self, tmp_path):
-        models, probe = self.forests(tmp_path)
+    def test_matches_oracle_bit_for_bit(self):
+        models, probe = self.forests()
         for name, model in models.items():
             np.testing.assert_array_equal(model.predict_proba_batch(probe),
-                                          oracle_proba(model, probe), err_msg=name)
+                                          oracle_proba(model.trees, probe), err_msg=name)
 
-    def test_per_tree_matrix(self, tmp_path):
-        models, probe = self.forests(tmp_path)
+    def test_per_tree_matrix(self):
+        models, probe = self.forests()
         for name, model in models.items():
             per_tree = model.table.leaf_proba(probe)
             assert per_tree.shape == (model.n_trees, probe.shape[0])
             for t, tree in enumerate(model.trees):
-                one = RandomForestModel((tree,), ClassWeights.unit(), 0, p=model.p)
-                np.testing.assert_array_equal(per_tree[t], oracle_proba(one, probe),
+                np.testing.assert_array_equal(per_tree[t], oracle_proba([tree], probe),
                                               err_msg=name)
 
-    def test_rows_are_independent(self, tmp_path):
-        models, probe = self.forests(tmp_path)
+    def test_rows_are_independent(self):
+        models, probe = self.forests()
         for name, model in models.items():
             batch = model.predict_proba_batch(probe)
             for i in range(probe.shape[0]):
@@ -822,18 +830,15 @@ class TestSerialization:
     @pytest.mark.parametrize("chunk", [forest._SAVE_NODES, 5, 1])
     def test_table_writer_matches_per_node_writer(self, tmp_path, monkeypatch, chunk):
         """`save_model` writes from the node table the bytes that a per-node
-        walk of the trees writes: both rules, unit and cost weights, a loaded
-        forest and one-leaf trees, in one chunk of nodes or in chunks that
-        end inside trees and between them."""
+        walk of the trees writes: both rules, unit and cost weights, and
+        one-leaf trees, in one chunk of nodes or in chunks that end inside
+        trees and between them."""
         monkeypatch.setattr(forest, "_SAVE_NODES", chunk)
         ds = make_blobs(n=90, p=5, seed=41, separation=0.8)
         models = [fit_forest(ds, Hyperparams(3, rule, s, n_trees=12), w, seed=6)
                   for rule in (GINI, EXTRATREES) for s in (1, 8)
                   for w in (ClassWeights.unit(), cost_weights(ds))]
-        save_model(models[1], tmp_path / "m.forest")
-        models.append(load_model(tmp_path / "m.forest"))
-        models.append(RandomForestModel((leaf_tree(0.1), leaf_tree(1 / 3)),
-                                        ClassWeights.unit(), 4, p=5))
+        models.append(leaf_forest([0.1, 1 / 3], p=5, seed=4))
         for k, model in enumerate(models):
             save_model(model, tmp_path / "got.forest")
             per_node_save(model, tmp_path / "want.forest")
@@ -841,20 +846,28 @@ class TestSerialization:
             assert got == (tmp_path / "want.forest").read_bytes(), k
 
     def test_round_trip(self, tmp_path):
+        """A loaded forest has the node table of the forest it was saved
+        from, predicts as it does bit for bit and saves to the same bytes:
+        both rules, unit and cost weights, and one-leaf trees. It holds no
+        per-tree output."""
         ds = make_blobs(n=60, p=4, seed=31)
-        model = fit_forest(ds, Hyperparams(2, "gini", 1, n_trees=6),
-                           ClassWeights(2.5, 1.0), seed=9)
-        path = tmp_path / "model.forest"
-        save_model(model, path)
-        back = load_model(path)
-        assert back.p == model.p
-        assert back.class_weights == model.class_weights
-        assert back.training_seed == model.training_seed
-        assert all(trees_equal(a, b) for a, b in zip(model.trees, back.trees))
-        probe = np.random.default_rng(0).normal(size=(20, 4))
-        np.testing.assert_array_equal(
-            model.predict_proba_batch(probe), back.predict_proba_batch(probe)
-        )
+        models = [fit_forest(ds, Hyperparams(2, rule, 1, n_trees=6), w, seed=9)
+                  for rule in (GINI, EXTRATREES) for w in (ClassWeights.unit(), cost_weights(ds))]
+        probe = np.vstack([ds.features, np.random.default_rng(0).normal(size=(20, 4))])
+        for model in models + [leaf_forest([0.1, 1 / 3], p=4, seed=3)]:
+            path = tmp_path / "model.forest"
+            save_model(model, path)
+            back = load_model(path)
+            assert (back.p, back.class_weights, back.training_seed, back.trees) == \
+                (model.p, model.class_weights, model.training_seed, None)
+            for name in ("feature", "threshold", "children", "p_fail", "roots"):
+                np.testing.assert_array_equal(getattr(back.table, name),
+                                              getattr(model.table, name), err_msg=name)
+            assert back.table.depth == model.table.depth
+            np.testing.assert_array_equal(model.predict_proba_batch(probe),
+                                          back.predict_proba_batch(probe))
+            save_model(back, tmp_path / "again.forest")
+            assert (tmp_path / "again.forest").read_bytes() == path.read_bytes()
 
     def test_leaf_probability_pairs_sum_to_one(self, tmp_path):
         ds = make_blobs(n=40, p=3, seed=33)
@@ -871,3 +884,70 @@ class TestSerialization:
         path.write_text("something else\n")
         with pytest.raises(ValueError, match="not a"):
             load_model(path)
+
+
+def edit(line, column, value):
+    cells = line.rstrip("\n").split(",")
+    cells[column] = value
+    return ",".join(cells) + "\n"
+
+
+def split_at(nodes, tree=1):
+    """Index in ``nodes`` of the last split line of ``tree``."""
+    return max(i for i, line in enumerate(nodes)
+               if line.startswith(f"{tree},") and line.split(",")[2] != "-1")
+
+
+# (header and column lines, node lines) -> the lines of a malformed file
+MALFORMED = {
+    "deleted-split-line": (lambda head, nodes: head + nodes[:split_at(nodes)]
+                           + nodes[split_at(nodes) + 1:],
+                           "tree 1 node .*: node ids must run from 0 within each tree"),
+    "truncated": (lambda head, nodes: head + nodes[:4] + [nodes[4][:5]], "column"),
+    "tree-beyond-header": (lambda head, nodes: head + nodes + ["3,0,-1,,-1,-1,0.5,0.5\n"],
+                           "tree ids must run 0 to 2 in order"),
+    "empty-tree": (lambda head, nodes: head + [n for n in nodes if not n.startswith("1,")],
+                   "tree ids must run 0 to 2 in order"),
+    "trees-out-of-order": (lambda head, nodes: head + sorted(nodes, key=lambda n: n[0] == "1"),
+                           "tree ids must run 0 to 2 in order"),
+    "no-tree": (lambda head, nodes: head, "tree ids must run 0 to 2 in order"),
+    "feature-of-p": (lambda head, nodes: head + [edit(nodes[0], 2, "3")] + nodes[1:],
+                     r"tree 0 node 0: a split feature must be in \[0, 3\)"),
+    "negative-feature": (lambda head, nodes: head + [edit(nodes[0], 2, "-2")] + nodes[1:],
+                         "a split feature must be in"),
+    "no-threshold": (lambda head, nodes: head + [edit(nodes[0], 3, "")] + nodes[1:],
+                     "tree 0 node 0: a split node needs a threshold"),
+    "child-before-parent": (lambda head, nodes: head + [edit(nodes[0], 4, "0")] + nodes[1:],
+                            "children must come after it in its tree"),
+    "child-outside-tree": (lambda head, nodes: head + [edit(nodes[0], 5, "999")] + nodes[1:],
+                           "children must come after it in its tree"),
+    "leaf-without-p_fail": (lambda head, nodes: head + nodes[:-1] + [edit(nodes[-1], 6, "")],
+                            "a leaf needs a p_fail"),
+    "shared-child": (lambda head, nodes: head + [edit(nodes[0], 5, nodes[0].split(",")[4])]
+                     + nodes[1:], "every node but a root must be the child of one split node"),
+    "unparsable-cell": (lambda head, nodes: head + [edit(nodes[0], 3, "0.5x")] + nodes[1:],
+                        "0.5x"),
+    "missing-header-key": (lambda head, nodes: [line for line in head
+                                                if not line.startswith("seed ")] + nodes,
+                           "the header has no seed"),
+}
+
+
+# numpy warns of a file with no node lines before the loader rejects it
+@pytest.mark.filterwarnings("ignore:loadtxt. input contained no data")
+@pytest.mark.parametrize("case", MALFORMED, ids=list(MALFORMED))
+def test_load_rejects_a_malformed_file_by_name(tmp_path, case):
+    """Each defect gives a `ValueError` that names the file. The defects are
+    made in a 3-tree forest whose every tree splits, which loads as saved."""
+    ds = make_blobs(n=40, p=3, seed=2)
+    model = fit_forest(ds, Hyperparams(2, GINI, 1, n_trees=3), ClassWeights.unit(), seed=0)
+    path = tmp_path / "m.forest"
+    save_model(model, path)
+    lines = path.read_text().splitlines(keepends=True)
+    assert load_model(path).table.depth == model.table.depth
+    assert all(line.split(",")[2] != "-1" for line in lines[7:] if line.split(",")[1] == "0")
+    make, message = MALFORMED[case]
+    path.write_text("".join(make(lines[:7], lines[7:])))
+    with pytest.raises(ValueError, match=message) as exc:
+        load_model(path)
+    assert str(exc.value).startswith(f"{path}: ")
