@@ -105,7 +105,8 @@ def cmd_explain(args) -> int:
         pipe = bench.Pipeline.open(config)
         method_train, model, _ = pipe.block(cell.balancing, cell.tuning)
     split = pipe.split
-    fail_rows = bench.fail_predicted_rows(model, split.test, config.max_explained_instances)
+    # any fail-predicted row can be explained; the instance cap bounds only a grid's cells
+    fail_rows = bench.fail_predicted_rows(model, split.test, None)
     if not fail_rows:
         print("no test instance is predicted as failing in this cell")
         return 1
@@ -186,7 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cell", required=True, help="balancing:tuning:method")
     p.add_argument("--index", type=int, help="test row to explain (default: first fail-predicted)")
     p.add_argument("--seed", type=int)
-    p.add_argument("--max-instances", type=int)
     p.add_argument("--full", action="store_true")
     p.set_defaults(func=cmd_explain)
 

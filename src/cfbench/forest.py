@@ -5,8 +5,10 @@ the candidate features and splits at the midpoint of the impurity minimum;
 ``extratrees`` draws one uniform-random threshold per candidate feature
 inside the node's value range. Class weights enter twice, mirroring
 weighted-forest practice: as weighted Gini impurity and as weighted bootstrap
-sampling probabilities. Leaf probabilities are plain within-leaf class
-fractions of the bootstrap sample.
+sampling probabilities. Both rules weigh a node's exact fail and pass row
+counts by the two class weights (unit weights are 1 and 1), so no split
+depends on the order of a node's rows. Leaf probabilities are plain
+within-leaf class fractions of the bootstrap sample.
 
 Everything is deterministic given the fitting seed: each tree draws its
 bootstrap and its 64-bit key from its own RNG stream spawned from (seed, tree
@@ -28,7 +30,7 @@ shows in no tree. The two rules search differently because their costs
 differ. A gini node sorts its rows per candidate column, so it is split on
 its own. An extratrees node sorts nothing and does little arithmetic, so
 per-call overhead dominates: a level's extratrees nodes are split in one
-batch of segment-wise numpy operations, whose sums equal a lone node's.
+batch of segment-wise numpy operations, whose counts equal a lone node's.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ DEFAULT_N_TREES = 500
 
 # Changes whenever the same settings grow other trees; reuse keys hash it, so
 # a resume refits forests that an older grower fitted
-GROWER_VERSION = 2
+GROWER_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -227,36 +229,32 @@ def vanilla_hyperparams(p: int, n_trees: int = DEFAULT_N_TREES) -> Hyperparams:
                        min_node_size=1, n_trees=n_trees)
 
 
-def _split_gini(V, y, w):
+def _split_gini(V, y, wf, wp):
     """Best midpoint split over the candidate columns of V.
 
     Returns (column, threshold) minimizing the weighted Gini impurity of the
     children, or None when no column has two distinct values. Only the
     boundaries between distinct sorted values are scored; ties go to the
-    first in (position, column) order. ``w`` is the per-row weight vector,
-    or None for the unweighted fast path (identical arithmetic with implicit
-    unit weights).
+    first in (position, column) order. A side's weighted sums are its fail
+    and pass row counts times the class weights ``wf`` and ``wp`` (1 and 1
+    for unit weights). The counts at a boundary between distinct values are
+    the same in any order of tied values, so the sort need not be stable.
     """
     m, mtry = V.shape
-    # unit-weight sums at a boundary are exact in any order within ties, so
-    # only the weighted path needs the stable sort
-    order = V.argsort(axis=0, kind=None if w is None else "stable")
+    order = V.argsort(axis=0)
     sv = V[order, np.arange(mtry)]
     # flat (pos, col) indices of (m - 1, mtry) boundaries, in C order; a
     # boundary's flat index in the (m, mtry) cumulative sums is the same
     valid = np.flatnonzero(sv[1:] > sv[:-1])
     if not valid.size:
         return None
-    if w is None:
-        fl = y[order].cumsum(axis=0).ravel()[valid]
-        wl = valid // mtry + 1  # rows up to boundary pos: pos + 1
-        total_w = float(m)
-        total_f = float(y.sum())
-    else:
-        fl = (w * y)[order].cumsum(axis=0).ravel()[valid]
-        wl = w[order].cumsum(axis=0).ravel()[valid]
-        total_w = float(w.sum())
-        total_f = float((w * y).sum())
+    n_fl = y[order].cumsum(axis=0).ravel()[valid]
+    n_l = valid // mtry + 1  # rows up to boundary pos: pos + 1
+    fl = wf * n_fl
+    wl = fl + wp * (n_l - n_fl)
+    n_f = y.sum()
+    total_f = wf * n_f
+    total_w = total_f + wp * (m - n_f)
     wr, fr = total_w - wl, total_f - fl
     score = (wl - (fl * fl + (wl - fl) ** 2) / wl) + (wr - (fr * fr + (wr - fr) ** 2) / wr)
     pos, col = divmod(int(valid[score.argmin()]), mtry)
@@ -267,22 +265,7 @@ def _split_gini(V, y, w):
     return col, thr
 
 
-def _left_sums(w, wy, left):
-    """Per column of ``left``, the sums of ``w`` and of ``wy`` over its true
-    rows, added one row after another in row order whatever the layout of
-    ``left``, so the sums depend on no BLAS build or CPU.
-
-    ``w`` and ``wy`` are (rows,) or (rows, blocks) and ``left`` is (rows,
-    columns) or (rows, blocks, columns); each block is summed on its own.
-    A block padded with zero weights after its last row sums as unpadded."""
-    # numpy reduces the first axis of a C-ordered array row after row when a
-    # row holds more than one value; here a row holds blocks x 2 x columns
-    terms = np.multiply(np.stack([w, wy], axis=-1)[..., None], left[..., None, :], order="C")
-    sums = terms.sum(axis=0)
-    return sums[..., 0, :], sums[..., 1, :]
-
-
-def _split_extratrees(X, y, w, rows, sizes, feats, u):
+def _split_extratrees(X, y, wf, wp, rows, sizes, feats, u):
     """Extratrees splits of many nodes at once: one threshold per candidate
     column, ``lo + u * (hi - lo)`` in the node's value range, best weighted
     Gini wins.
@@ -291,10 +274,9 @@ def _split_extratrees(X, y, w, rows, sizes, feats, u):
     and draws columns ``feats[i]`` with uniforms ``u[i]``. Thresholds are
     forced strictly inside the range so both children are non-empty;
     constant columns are skipped. Returns each node's column index into
-    ``feats[i]`` (-1 when no column can split) and threshold. Every sum is
-    the one a node alone gives: unit weights count exactly, and weighted
-    sums add rows in row order, in zero-padded blocks of nodes whose sizes
-    are within a factor of 2.
+    ``feats[i]`` (-1 when no column can split) and threshold. A side's
+    weighted sums are its exact fail and pass counts times ``wf`` and
+    ``wp``, so every node gets the split it gets alone, in any row order.
     """
     k, mtry = feats.shape
     starts = np.cumsum(sizes) - sizes
@@ -308,28 +290,15 @@ def _split_extratrees(X, y, w, rows, sizes, feats, u):
     thr = np.where(thr >= hi, np.nextafter(hi, lo), thr)
     ok = (thr > lo) & (thr < hi)
     left = V <= np.repeat(thr, sizes, axis=0)
-    del V  # the sums below need only ``left``; a level's values are its largest array
-    if w is None:
-        yr = y[rows]
-        total_w, total_f = sizes.astype(np.float64), np.add.reduceat(yr, starts)
-        wl = np.add.reduceat(left, starts, dtype=np.intp).astype(np.float64)
-        fl = np.add.reduceat(left & (yr > 0.0)[:, None], starts, dtype=np.intp).astype(np.float64)
-    else:
-        wr, wyr = w[rows], w[rows] * y[rows]
-        # pairwise sums, as a node's own arrays give them
-        segments = list(zip(starts.tolist(), (starts + sizes).tolist()))
-        total_w = np.array([wr[a:b].sum() for a, b in segments])
-        total_f = np.array([wyr[a:b].sum() for a, b in segments])
-        wl, fl = np.empty((k, mtry)), np.empty((k, mtry))
-        bucket = np.frexp(sizes)[1]
-        for b in np.unique(bucket):
-            nodes = np.flatnonzero(bucket == b)
-            offset = np.arange(sizes[nodes].max())[:, None]
-            pad = offset >= sizes[nodes]
-            at = np.where(pad, 0, starts[nodes] + offset)
-            wl[nodes], fl[nodes] = _left_sums(np.where(pad, 0.0, wr[at]),
-                                              np.where(pad, 0.0, wyr[at]), left[at])
-    total_w, total_f = total_w[:, None], total_f[:, None]
+    del V  # the counts below need only ``left``; a level's values are its largest array
+    yr = y[rows]
+    n_l = np.add.reduceat(left, starts, dtype=np.intp).astype(np.float64)
+    n_fl = np.add.reduceat(left & (yr > 0.0)[:, None], starts, dtype=np.intp).astype(np.float64)
+    fl = wf * n_fl
+    wl = fl + wp * (n_l - n_fl)
+    n_f = np.add.reduceat(yr, starts)[:, None]
+    total_f = wf * n_f
+    total_w = total_f + wp * (sizes[:, None] - n_f)
     wl = np.where(ok, wl, 1.0)  # avoid 0/0 on masked columns
     wr = np.where(ok, total_w - wl, 1.0)
     fr = total_f - fl
@@ -343,9 +312,10 @@ def _split_extratrees(X, y, w, rows, sizes, feats, u):
 _GROUP_CELLS = 1 << 16
 
 
-def _grow_group(X, y, w, hp: Hyperparams, boots, keys, streams: KeyedStream) -> list[Tree]:
+def _grow_group(X, y, wf, wp, hp: Hyperparams, boots, keys, streams: KeyedStream) -> list[Tree]:
     """Grow one CART tree per bootstrap sample in ``boots`` (rows of ``X``),
-    level by level over all the trees at once.
+    level by level over all the trees at once, splitting by the Gini
+    impurity of fail and pass rows weighted ``wf`` and ``wp``.
 
     Nodes smaller than min_node_size, pure nodes, and nodes without a valid
     split become leaves. A node to split draws its candidate columns (and
@@ -374,13 +344,12 @@ def _grow_group(X, y, w, hp: Hyperparams, boots, keys, streams: KeyedStream) -> 
         if not extra:
             for j, i in enumerate(cand.tolist()):
                 seg = rows[starts[i]:starts[i] + sizes[i]]
-                res = _split_gini(X.take(seg, 0).take(feats[j], 1), y[seg],
-                                  None if w is None else w[seg])
+                res = _split_gini(X.take(seg, 0).take(feats[j], 1), y[seg], wf, wp)
                 if res is not None:
                     feature[i], threshold[i] = feats[j, res[0]], res[1]
         elif cand.size:
-            col, thr = _split_extratrees(X, y, w, rows[np.repeat(to_split, sizes)], sizes[cand],
-                                         feats, draws[:, p:])
+            col, thr = _split_extratrees(X, y, wf, wp, rows[np.repeat(to_split, sizes)],
+                                         sizes[cand], feats, draws[:, p:])
             found = col >= 0
             feature[cand[found]] = feats[found, col[found]]
             threshold[cand[found]] = thr[found]
@@ -450,12 +419,21 @@ def _fit_trees(X, y01, hp, seed, row_weight, weighted_split, bootstrap_p, keep_i
     """The forest's trees and, with ``keep_inbag``, each tree's bootstrap
     counts. Tree t draws its bootstrap and then its key from stream t; trees
     are grown in groups of at most `_GROUP_CELLS` cells, one stream of node
-    draws serving them all."""
+    draws serving them all.
+
+    With ``weighted_split`` the split weights of the fail and pass class are
+    ``row_weight``'s value on that class's rows, which must be one value per
+    class (else `ValueError`); without it both are 1."""
     X = np.ascontiguousarray(X)
     n = X.shape[0]
+    wf = wp = 1.0
+    if weighted_split:
+        per_class = [np.unique(row_weight[y01 == c]) for c in (1.0, 0.0)]
+        if any(u.size > 1 for u in per_class):
+            raise ValueError("split weights must be constant within each class")
+        wf, wp = (float(u[0]) if u.size else 1.0 for u in per_class)
     trees = []
     inbag = np.zeros((hp.n_trees, n), dtype=np.uint16) if keep_inbag else None
-    w = row_weight if weighted_split else None
     group = max(1, _GROUP_CELLS // (n * hp.mtry))
     streams = KeyedStream()
     boots, keys = [], []
@@ -466,7 +444,7 @@ def _fit_trees(X, y01, hp, seed, row_weight, weighted_split, bootstrap_p, keep_i
         boots.append(idxb)
         keys.append(int(rng.integers(0, 1 << 64, dtype=np.uint64)))
         if len(boots) == group or t == hp.n_trees - 1:
-            trees.extend(_grow_group(X, y01, w, hp, boots, keys, streams))
+            trees.extend(_grow_group(X, y01, wf, wp, hp, boots, keys, streams))
             boots, keys = [], []
     return tuple(trees), inbag
 
@@ -476,18 +454,17 @@ def fit_forest(train: LabeledDataset, hp: Hyperparams, weights: ClassWeights,
     """Fit a forest of ``hp.n_trees`` CART trees on bootstrap samples.
 
     With non-unit class weights the bootstrap draws rows with probability
-    proportional to their class weight and splits use weighted Gini impurity;
-    unit weights take an equivalent unweighted path.
+    proportional to their class weight, and splits use the Gini impurity of
+    class counts times class weights. Unit weights are the weights 1 and 1,
+    and their bootstrap draws uniformly.
     """
     if hp.mtry > train.p:
         raise ValueError(f"mtry={hp.mtry} exceeds the {train.p} available features")
     X = train.features
     y01 = (train.labels == FAIL).astype(np.float64)
-    if weights.is_unit:
-        trees, inbag = _fit_trees(X, y01, hp, seed, None, False, None, keep_inbag)
-    else:
-        w_row = weights.per_row(train.labels)
-        trees, inbag = _fit_trees(X, y01, hp, seed, w_row, True, w_row / w_row.sum(), keep_inbag)
+    w_row = weights.per_row(train.labels)
+    bootstrap_p = None if weights.is_unit else w_row / w_row.sum()
+    trees, inbag = _fit_trees(X, y01, hp, seed, w_row, True, bootstrap_p, keep_inbag)
     return RandomForestModel(NodeTable.of(trees), weights, int(seed), train.p, inbag, trees)
 
 

@@ -228,6 +228,19 @@ def test_explain(config_file, capsys):
     assert "->" in captured.out
 
 
+def test_explain_any_fail_predicted_row_past_the_instance_cap(tmp_path, config_file, capsys):
+    """The instance cap bounds a grid's cells, not the rows ``explain`` takes."""
+    config_file.write_text(config_file.read_text().replace("max_explained_instances = 3",
+                                                           "max_explained_instances = 1"))
+    pipe = bench.Pipeline.open(bench.parse_config(config_file))
+    _, model, _ = pipe.block("original", "vanilla")
+    second = bench.fail_predicted_rows(model, pipe.split.test, None)[1]
+    capsys.readouterr()
+    assert main(["explain", "--config", str(config_file), "--cell", "original:vanilla:whatif",
+                 "--index", str(second)]) == 0
+    assert f"test row {second}" in capsys.readouterr().out
+
+
 TUNE = """
 [tune]
 folds = 2
@@ -387,8 +400,7 @@ def test_cell_only_settings_refit_no_block(tmp_path, config_file, capsys, monkey
     assert main(["run", "--config", str(config)]) == 0
     fits = count_calls(monkeypatch, forest, "fit_forest")
     generated = count_calls(monkeypatch, bench, "generate_for_cell")
-    assert main(["explain", "--config", str(config), "--cell", "original:tuned:whatif",
-                 "--max-instances", "2"]) == 0
+    assert main(["explain", "--config", str(config), "--cell", "original:tuned:whatif"]) == 0
     assert fits == []
     generated.clear()
     capsys.readouterr()

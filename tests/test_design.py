@@ -12,9 +12,10 @@
   `forest._number_nodes`, the grower's output; everything else builds the
   forest's `NodeTable`.
 * No stored value that only tests read: every dataclass field is read as an
-  attribute somewhere in the package. ``RandomForestModel.inbag`` is allowed,
-  since only the acceptance tests read it. The rule matches by attribute
-  name, so a field whose name some other object also has (a
+  attribute somewhere in the package. ``RandomForestModel.inbag`` is allowed:
+  the OOB test in ``tests/test_forest.py`` reads it, and two oracle tests
+  there read the same bootstrap counts from ``_fit_trees``. The rule matches
+  by attribute name, so a field whose name some other object also has (a
   ``GowerColumns.values`` beside ``Counterfactual.values``) passes unread.
 """
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -21,7 +22,8 @@ from cfbench.forest import (
     Tree,
     _cv_totals,
     _fit_trees,
-    _left_sums,
+    _split_extratrees,
+    _split_gini,
     evaluate,
     fit_forest,
     load_model,
@@ -85,7 +87,14 @@ def trees_equal(a, b):
     )
 
 
-def ref_split_gini(V, y, w):
+def weighted_sums(n_fl, n_l, n_f, n, wf, wp):
+    """(fl, wl, total_f, total_w): fail and all rows, left and in the node,
+    as class counts times the class weights."""
+    fl, total_f = wf * n_fl, wf * n_f
+    return fl, fl + wp * (n_l - n_fl), total_f, total_f + wp * (n - n_f)
+
+
+def ref_split_gini(V, y, wf, wp):
     """Reference gini split: scores every adjacent pair of sorted values and
     masks the ones that are not a boundary between distinct values."""
     m = V.shape[0]
@@ -94,17 +103,9 @@ def ref_split_gini(V, y, w):
     valid = sv[1:] > sv[:-1]
     if not valid.any():
         return None
-    if w is None:
-        cf = np.cumsum(y[order], axis=0)
-        cw = np.arange(1.0, m + 1.0)[:, None]
-        total_w = float(m)
-        total_f = float(y.sum())
-    else:
-        cf = np.cumsum((w * y)[order], axis=0)
-        cw = np.cumsum(w[order], axis=0)
-        total_w = float(w.sum())
-        total_f = float((w * y).sum())
-    wl, fl = cw[:-1], cf[:-1]
+    n_fl = np.cumsum(y[order], axis=0)[:-1]
+    n_l = np.arange(1.0, m)[:, None]
+    fl, wl, total_f, total_w = weighted_sums(n_fl, n_l, y.sum(), m, wf, wp)
     wr, fr = total_w - wl, total_f - fl
     score = (wl - (fl * fl + (wl - fl) ** 2) / wl) + (wr - (fr * fr + (wr - fr) ** 2) / wr)
     score = np.where(valid, score, np.inf)
@@ -117,7 +118,7 @@ def ref_split_gini(V, y, w):
     return int(col), thr
 
 
-def ref_split_extratrees(V, y, w, rng):
+def ref_split_extratrees(V, y, wf, wp, rng):
     """Reference extratrees split: every threshold nudged, every column scored."""
     lo = V.min(axis=0)
     hi = V.max(axis=0)
@@ -129,17 +130,8 @@ def ref_split_extratrees(V, y, w, rng):
     if not ok.any():
         return None
     left = V <= thr
-    if w is None:
-        wl = left.sum(axis=0).astype(np.float64)
-        fl = y @ left
-        total_w = float(V.shape[0])
-        total_f = float(y.sum())
-    else:
-        # row-order sums, as the grower adds them
-        wl = np.cumsum(np.where(left, w[:, None], 0.0), axis=0)[-1]
-        fl = np.cumsum(np.where(left, (w * y)[:, None], 0.0), axis=0)[-1]
-        total_w = float(w.sum())
-        total_f = float((w * y).sum())
+    fl, wl, total_f, total_w = weighted_sums(y @ left, left.sum(axis=0), y.sum(), V.shape[0],
+                                             wf, wp)
     wl = np.where(ok, wl, 1.0)
     wr = np.where(ok, total_w - wl, 1.0)
     fr = total_f - fl
@@ -149,7 +141,7 @@ def ref_split_extratrees(V, y, w, rng):
     return col, float(thr[col])
 
 
-def ref_grow_tree(X, y, w, hp, rng):
+def ref_grow_tree(X, y, wf, wp, hp, rng):
     """Reference grower: one `np.ix_` gather per node and a node list grown
     by appends. A node to split draws from the stream of its path key: the
     tree's key from ``rng`` at the root, `path_key` of its parent's key and
@@ -178,11 +170,10 @@ def ref_grow_tree(X, y, w, hp, rng):
         node_rng = streams.at(key)
         feats = np.argsort(node_rng.random(p), kind="stable")[:hp.mtry]
         V = X[np.ix_(idx, feats)]
-        wn = w[idx] if w is not None else None
         if hp.splitrule == GINI:
-            res = ref_split_gini(V, yn, wn)
+            res = ref_split_gini(V, yn, wf, wp)
         else:
-            res = ref_split_extratrees(V, yn, wn, node_rng)
+            res = ref_split_extratrees(V, yn, wf, wp, node_rng)
         if res is None:
             p_fail[slot] = fails / m
             continue
@@ -217,8 +208,8 @@ def ref_forest(ds, hp, weights, seed):
             idxb = rng.choice(ds.n, size=ds.n, replace=True)
         else:
             idxb = rng.choice(ds.n, size=ds.n, replace=True, p=w_row / w_row.sum())
-        wb = None if w_row is None else w_row[idxb]
-        trees.append(ref_grow_tree(X[idxb], y01[idxb], wb, hp, rng))
+        trees.append(ref_grow_tree(X[idxb], y01[idxb], weights.weight_fail, weights.weight_pass,
+                                   hp, rng))
     return trees
 
 
@@ -330,6 +321,28 @@ class TestGroups:
                                zip(got, ref_forest(ds, hp, weights, seed=12))), (rule, s)
 
 
+class TestSplitOrder:
+    """A node's split depends on its rows, not on their order: both rules
+    count fail and pass rows, which is exact in any order within ties."""
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(st.integers(2, 80), st.integers(1, 4), st.integers(0, 2 ** 32 - 1),
+           st.sampled_from([(1.0, 1.0), (2.7, 1.0), (1.0, 0.37), (0.1, 9.3)]))
+    def test_permuted_rows_split_alike(self, m, mtry, seed, weights):
+        rng = np.random.default_rng(seed)
+        V = rng.integers(0, 4, size=(m, mtry)) * rng.choice([0.1, 1.0, 3.0], size=mtry)
+        y = (rng.random(m) < 0.4).astype(np.float64)
+        u = rng.random((1, mtry))
+        feats, sizes = np.arange(mtry)[None, :], np.array([m])
+        want_gini = _split_gini(V, y, *weights)
+        want_extra = _split_extratrees(V, y, *weights, np.arange(m), sizes, feats, u)
+        for _ in range(3):
+            perm = rng.permutation(m)
+            assert _split_gini(V[perm], y[perm], *weights) == want_gini
+            got_extra = _split_extratrees(V, y, *weights, perm, sizes, feats, u)
+            assert [a.tolist() for a in got_extra] == [a.tolist() for a in want_extra]
+
+
 class TestKeyedStream:
     @settings(max_examples=100, derandomize=True, database=None, deadline=None)
     @given(st.integers(0, 2 ** 64 - 1), st.integers(0, 2 ** 64 - 1), st.integers(0, 9),
@@ -411,41 +424,6 @@ class TestPrune:
             stack.append((int(tree.right[node]), idx[~go_left]))
 
 
-class TestLeftSums:
-    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
-    @given(st.integers(1, 300), st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
-    def test_row_order_in_any_layout(self, m, k, seed):
-        """The weighted extratrees sums equal a row-order loop, also for one
-        column, for a Fortran-ordered node matrix, and for the node as one
-        zero-padded block among others."""
-        rng = np.random.default_rng(seed)
-        w = rng.gamma(1.0, size=m) * 10.0 ** rng.integers(-3, 4, size=m)
-        wy = w * (rng.random(m) < 0.4)
-        V = rng.integers(0, 4, size=(m, k)).astype(float)
-        thr = rng.uniform(0.0, 3.0, size=k)
-        want = np.zeros((2, k))
-        for j in range(k):
-            for i in range(m):
-                if V[i, j] <= thr[j]:
-                    want[0, j] += w[i]
-                    want[1, j] += wy[i]
-        for layout in (np.ascontiguousarray(V), np.asfortranarray(V)):
-            wl, fl = _left_sums(w, wy, layout <= thr)
-            assert wl.tolist() == want[0].tolist() and fl.tolist() == want[1].tolist()
-        # block 1 of 3, padded with zero weights to 2m rows; its neighbours
-        # hold other values, which must not leak into its sums
-        pad = np.zeros(m)
-        w3 = np.column_stack([np.concatenate([w[::-1], w]), np.concatenate([w, pad]),
-                              np.concatenate([w, w])])
-        wy3 = np.column_stack([np.concatenate([wy[::-1], wy]), np.concatenate([wy, pad]),
-                               np.concatenate([wy, wy])])
-        left = np.concatenate([V <= thr, rng.random((m, k)) < 0.5])
-        left3 = np.stack([~left, left, left], axis=1)
-        wl3, fl3 = _left_sums(w3, wy3, left3)
-        assert wl3.shape == fl3.shape == (3, k)
-        assert wl3[1].tolist() == want[0].tolist() and fl3[1].tolist() == want[1].tolist()
-
-
 class TestFit:
     def test_separable_training_accuracy(self):
         ds = separable_dataset()
@@ -513,6 +491,29 @@ class TestFit:
             weighted, _ = _fit_trees(X, y01, hp, seed, ones, True, None, False)
             assert all(trees_equal(a, b) for a, b in zip(unweighted, weighted))
 
+    def test_split_weights_are_one_value_per_class(self):
+        """`_fit_trees` takes the split weight of each class from the per-row
+        weights; it refuses weights that vary within a class, and nothing
+        else: class-constant weights grow `fit_forest`'s trees, weights
+        without ``weighted_split`` are not read, and an absent class needs
+        no weight."""
+        ds = make_blobs(n=60, p=3, seed=15, fail_frac=0.3)
+        X, y01 = ds.features, (ds.labels == FAIL).astype(np.float64)
+        hp = Hyperparams(2, GINI, 1, n_trees=3)
+        weights = cost_weights(ds)
+        w_row = weights.per_row(ds.labels)
+        got, _ = _fit_trees(X, y01, hp, 3, w_row, True, w_row / w_row.sum(), False)
+        assert all(trees_equal(a, b) for a, b in zip(got, fit_forest(ds, hp, weights, 3).trees))
+        for cls in (1.0, 0.0):
+            varied = w_row.copy()
+            varied[np.flatnonzero(y01 == cls)[0]] *= 2.0
+            with pytest.raises(ValueError, match="constant within each class"):
+                _fit_trees(X, y01, hp, 3, varied, True, None, False)
+            unweighted, _ = _fit_trees(X, y01, hp, 3, varied, False, None, False)
+            assert all(trees_equal(a, b) for a, b in
+                       zip(unweighted, fit_forest(ds, hp, ClassWeights.unit(), 3).trees))
+        _fit_trees(X, np.zeros(ds.n), hp, 3, np.ones(ds.n), True, None, False)
+
     def test_class_weights_change_fit(self):
         ds = make_blobs(n=80, p=3, seed=8, fail_frac=0.2, separation=1.0)
         hp = Hyperparams(2, "gini", 1, n_trees=15)
@@ -576,6 +577,26 @@ class TestFit:
             err = ((proba >= 0.5) != truth_fail[have]).mean()
             errors.append(err)
         assert np.var(errors[-100:]) < 1e-4
+
+
+# The sha256 of the files of `test_grower_version_is_pinned_to_its_output`'s
+# forests, with the grower version that grew them. Reuse keys hash the
+# version, so a grower change that alters these files must bump it, or a
+# resume would reuse forests the old grower fitted.
+GROWER_OUTPUT = (3, "c07dca6459304cf519ec76a8119911302402f8c0aff79f36f44d6355cdb3bee2")
+
+
+def test_grower_version_is_pinned_to_its_output(tmp_path):
+    """Both rules under unit and cost weights, one small fixed forest each."""
+    ds = make_blobs(n=80, p=4, seed=37, separation=0.7)
+    digest = hashlib.sha256()
+    for rule in (GINI, EXTRATREES):
+        for weights in (ClassWeights.unit(), cost_weights(ds)):
+            save_model(fit_forest(ds, Hyperparams(2, rule, 1, n_trees=4), weights, seed=8),
+                       tmp_path / "m.forest")
+            digest.update((tmp_path / "m.forest").read_bytes())
+    assert (forest.GROWER_VERSION, digest.hexdigest()) == GROWER_OUTPUT, \
+        "the grower's output changed: bump GROWER_VERSION and pin the new digest with it"
 
 
 class TestPredict:
